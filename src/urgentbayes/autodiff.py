@@ -217,6 +217,13 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
+def is_recording(parents):
+    """Whether an op over `parents` is recorded, i.e. a gradient can flow
+    back through it.  Ops that cache intermediates for their backward
+    consult this first."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _node(data, parents):
     """Build an op output; graph links are kept only when a grad can flow."""
     out = Tensor.__new__(Tensor)
@@ -226,7 +233,7 @@ def _node(data, parents):
     out.data = data
     out.grad = None
     out._backward = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if is_recording(parents):
         out.requires_grad = True
         out._parents = parents
     else:
@@ -377,10 +384,22 @@ def transpose(x):
     return out
 
 
+def logistic(z):
+    """Elementwise 1 / (1 + e^-z) of a plain array.  The two-branch form,
+    1/(1+t) for z >= 0 and t/(1+t) below, with t = e^-|z|, never
+    exponentiates a positive argument."""
+    t = np.exp(-np.abs(z))
+    positive = z >= 0
+    # the numerator by an exact masked multiply-add: t*0 + 1 or t*1 + 0;
+    # np.where with a scalar branch is several times slower
+    numerator = t * ~positive
+    numerator += positive
+    numerator /= 1.0 + t
+    return numerator
+
+
 def sigmoid(x):
-    # Two-branch form never exponentiates a positive argument.
-    t = np.exp(-np.abs(x.data))
-    y = np.where(x.data >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    y = logistic(x.data)
     out = _node(y, (x,))
     if out._parents:
         out._backward = lambda g: _accumulate(x, g * y * (1.0 - y))
@@ -480,8 +499,10 @@ def concat(parts, axis=0):
 
 
 def gather_rows(table, ids):
-    """Select rows of a (V, d) table; adjoints scatter-add into the rows,
-    so a row used twice receives twice the gradient."""
+    """Select rows of a (V, d) table by an id array of any shape; the output
+    has shape ids.shape + (d,).  Adjoints scatter-add straight into the
+    table's gradient buffer, touching only the selected rows, so a row used
+    twice receives twice the gradient."""
     ids = np.asarray(ids, dtype=np.intp)
     if table.data.ndim != 2:
         raise ShapeError("gather_rows expects a 2-d table")
@@ -490,9 +511,9 @@ def gather_rows(table, ids):
     out = _node(table.data[ids], (table,))
     if out._parents:
         def bwd(g):
-            full = np.zeros_like(table.data)
-            np.add.at(full, ids, g)
-            _accumulate(table, full)
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
+            np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
         out._backward = bwd
     return out
 

@@ -2,12 +2,16 @@
 dot-product attention over the top layer's states, and an affine
 prediction head on (context ⊕ final state).
 
-Two forward implementations live here.  The graph one records onto the
-autodiff tape and is used for training and gradient checks.  The plain
-numpy one (`infer_logits`) mirrors the same arithmetic without tape
-overhead and is what every prediction path uses; keeping the formulas
-textually parallel is what makes the zero-dropout Bayesian variant agree
-with the deterministic model bit for bit.
+There is one forward implementation.  Each recurrent layer is a single
+tape op over the whole padded `(n, T, d)` batch (`lstm_layer`, with a
+hand-written backpropagation-through-time backward), and attention is a
+single length-masked op over the `(n, T, hidden)` states (`attend`).
+Training records them on the autodiff tape; prediction runs the same ops
+under `no_grad`, so the zero-dropout Bayesian variant agrees with the
+deterministic model bit for bit by construction.
+
+The single-example `lstm_step`, `attention_scores` and `context_vector`
+are the step-by-step reference the fused ops are tested against.
 """
 
 from __future__ import annotations
@@ -21,11 +25,17 @@ import numpy as np
 from .autodiff import (
     Parameter,
     Tensor,
+    _accumulate,
+    _check_finite,
+    _node,
     affine,
     concat,
     cross_entropy_from_logits,
     gather_rows,
+    is_recording,
+    logistic,
     matmul,
+    no_grad,
     sigmoid,
     softmax_stable,
     tanh_op,
@@ -38,6 +48,9 @@ log = logging.getLogger(__name__)
 
 ATTENTION_MODES = ("softmax", "ratio")
 MODEL_KINDS = ("base", "mcd", "vi")
+
+# size bound of one block of LSTM input projections (see lstm_layer)
+PROJECTION_BLOCK_BYTES = 2 << 20
 
 # dropout placement indices shared with the Monte Carlo variant
 AFTER_LAYER_1 = 0
@@ -117,6 +130,89 @@ def lstm_step(params, h_prev, c_prev, x):
     return h, c
 
 
+def lstm_layer(params, x):
+    """Runs one layer from zero state over a padded (n, T, input_dim) batch
+    and returns its hidden states, (n, T, hidden).
+
+    One tape op: the input projection is one matmul per block of
+    timesteps, and the recurrence follows `lstm_step`'s gate order and
+    arithmetic.  Gate activations and cell states are kept only when a
+    gradient can flow; the backward is hand-written backpropagation
+    through time."""
+    wx, wh, bias = params.input_weights, params.recurrent_weights, params.bias
+    if x.data.ndim != 3 or x.data.shape[2] != wx.data.shape[0]:
+        raise ShapeError(
+            f"lstm_layer expects (n, T, {wx.data.shape[0]}) input, got {x.data.shape}"
+        )
+    n, steps, d = x.data.shape
+    hd = params.hidden_dim
+    # input projections for blocks of timesteps of about 2 MB each, so that
+    # a large prediction batch never holds an (n, T, 4*hidden) temporary
+    block = max(1, PROJECTION_BLOCK_BYTES // (n * 4 * hd * 8))
+    keep = is_recording((x, wx, wh, bias))
+    states = np.empty((n, steps, hd))
+    gates = np.empty((n, steps, 4 * hd)) if keep else None   # activated i, f, g, o
+    cells = np.empty((n, steps, hd)) if keep else None
+    h = np.zeros((n, hd))
+    c = np.zeros((n, hd))
+    for t in range(steps):
+        if t % block == 0:
+            window = x.data[:, t : t + block]
+            projected = window.reshape(-1, d) @ wx.data
+            projected += bias.data
+            projected = projected.reshape(n, window.shape[1], 4 * hd)
+        pre = projected[:, t % block] + h @ wh.data
+        act = logistic(pre)
+        act[:, 2 * hd : 3 * hd] = np.tanh(pre[:, 2 * hd : 3 * hd])
+        if keep:
+            # the gates saturate, so an overflow here would not reach the
+            # output; training detects divergence through this check
+            _check_finite(pre, "LSTM pre-activation")
+            gates[:, t] = act
+        c = act[:, hd : 2 * hd] * c + act[:, :hd] * act[:, 2 * hd : 3 * hd]
+        h = act[:, 3 * hd :] * np.tanh(c)
+        states[:, t] = h
+        if keep:
+            cells[:, t] = c
+    out = _node(states, (x, wx, wh, bias))
+    if out._parents:
+        def bwd(g):
+            i, f = gates[..., :hd], gates[..., hd : 2 * hd]
+            cand, o = gates[..., 2 * hd : 3 * hd], gates[..., 3 * hd :]
+            tanh_c = np.tanh(cells)
+            # d(gate)/d(pre-activation), and dc_t/dh_t through h = o * tanh(c)
+            slope = gates * (1.0 - gates)
+            slope[..., 2 * hd : 3 * hd] = 1.0 - cand * cand
+            through_c = o * (1.0 - tanh_c * tanh_c)
+            prev_c = np.zeros((n, steps, hd))
+            prev_c[:, 1:] = cells[:, :-1]
+            d_pre = np.empty((n, steps, 4 * hd))
+            wh_t = wh.data.T
+            dh_next = np.zeros((n, hd))
+            dc_next = np.zeros((n, hd))
+            for t in range(steps - 1, -1, -1):
+                dh = g[:, t] + dh_next
+                dc = dc_next + dh * through_c[:, t]
+                dp = d_pre[:, t]
+                dp[:, :hd] = dc * cand[:, t]
+                dp[:, hd : 2 * hd] = dc * prev_c[:, t]
+                dp[:, 2 * hd : 3 * hd] = dc * i[:, t]
+                dp[:, 3 * hd :] = dh * tanh_c[:, t]
+                dp *= slope[:, t]
+                dh_next = dp @ wh_t
+                dc_next = dc * f[:, t]
+            flat = d_pre.reshape(n * steps, 4 * hd)
+            if x.requires_grad:
+                _accumulate(x, (flat @ wx.data.T).reshape(n, steps, d))
+            _accumulate(wx, x.data.reshape(n * steps, d).T @ flat)
+            prev_h = np.zeros((n, steps, hd))
+            prev_h[:, 1:] = states[:, :-1]
+            _accumulate(wh, prev_h.reshape(n * steps, hd).T @ flat)
+            _accumulate(bias, flat.sum(axis=0))
+        out._backward = bwd
+    return out
+
+
 def embed_sequence(example, table):
     """Rows of the embedding table for the example's token ids.
 
@@ -141,12 +237,6 @@ class EncoderState:
     context: Tensor = None         # (1, hidden) once computed
     attention_degenerate: bool = False
 
-    def padded_states(self):
-        """(max_len, hidden) array with zero rows beyond the valid window."""
-        out = np.zeros((self.mask.shape[0], self.states.data.shape[1]))
-        out[: self.true_length] = self.states.data
-        return out
-
     def attention_padded(self):
         """(max_len,) weights with exact zeros at padded positions."""
         if self.attention is None:
@@ -161,12 +251,8 @@ def _ratio_weights_graph(scores):
     uniform weights when the denominator vanishes."""
     denom = scores.sum()
     if abs(denom.item()) < 1e-12:
-        n = scores.data.shape[0]
-        log.warning(
-            "degenerate attention: score sum %.3e below 1e-12, using uniform weights",
-            denom.item(),
-        )
-        return Tensor(np.full((n, 1), 1.0 / n)), True
+        _warn_degenerate(denom.item())
+        return Tensor(np.full((scores.data.shape[0], 1), 1.0 / scores.data.shape[0])), True
     return scores / denom, False
 
 
@@ -201,9 +287,53 @@ def predict_logits(state, head_weight, head_bias):
     return affine(concat([state.context, state.final_state], axis=1), head_weight, head_bias)
 
 
-def _np_sigmoid(x):
-    t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+def _warn_degenerate(denom):
+    log.warning(
+        "degenerate attention: score sum %.3e below 1e-12, using uniform weights", denom
+    )
+
+
+def attend(states, finals, lengths, mode="softmax"):
+    """Batched attention over padded (n, T, hidden) states: the weights of
+    row i cover its first lengths[i] positions only and come from dot
+    products with finals[i], as in `attention_scores`; returns the
+    contexts, (n, hidden).  One tape op.
+
+    In ratio mode a row whose score sum vanishes falls back to uniform
+    weights with a warning, and the other rows are unaffected."""
+    if mode not in ATTENTION_MODES:
+        raise ConfigurationError(f"unknown attention mode {mode!r}")
+    s, q = states.data, finals.data
+    n, steps, _ = s.shape
+    valid = np.arange(steps) < np.asarray(lengths)[:, None]       # (n, T)
+    scores = np.matmul(s, q[:, :, None])[:, :, 0]                  # (n, T)
+    if mode == "softmax":
+        top = np.where(valid, scores, -np.inf).max(axis=1, keepdims=True)
+        e = np.exp(np.where(valid, scores - top, -np.inf))
+        weights = e / e.sum(axis=1, keepdims=True)
+    else:
+        denom = np.where(valid, scores, 0.0).sum(axis=1, keepdims=True)
+        degenerate = np.abs(denom) < 1e-12                          # (n, 1)
+        for row in np.flatnonzero(degenerate):
+            _warn_degenerate(denom[row, 0])
+        denom = np.where(degenerate, 1.0, denom)
+        uniform = valid / valid.sum(axis=1, keepdims=True)
+        weights = np.where(degenerate, uniform, np.where(valid, scores / denom, 0.0))
+    out = _node(np.matmul(weights[:, None, :], s)[:, 0, :], (states, finals))
+    if out._parents:
+        def bwd(g):
+            g_weights = np.matmul(s, g[:, :, None])[:, :, 0]
+            centred = g_weights - (g_weights * weights).sum(axis=1, keepdims=True)
+            if mode == "softmax":
+                g_scores = weights * centred
+            else:
+                g_scores = np.where(valid & ~degenerate, centred / denom, 0.0)
+            _accumulate(
+                states, weights[:, :, None] * g[:, None, :] + g_scores[:, :, None] * q[:, None, :]
+            )
+            _accumulate(finals, np.matmul(g_scores[:, None, :], s)[:, 0, :])
+        out._backward = bwd
+    return out
 
 
 @dataclass
@@ -285,73 +415,57 @@ class BaseClassifier:
         """Scaled keep-masks per placement index, or None for no dropout."""
         return None
 
-    # -- graph forward (training / gradient checks) ---------------------
+    # -- forward ------------------------------------------------------------
 
     def encode_example(self, example):
-        """Single-example graph encoding through attention; for tests and
-        the per-example helpers above."""
-        state = self._encode_rows(
-            example.token_ids[None, :], np.array([example.true_length]), masks=None
-        )[0]
+        """Single-example encoding through the reference attention; for
+        tests and the per-example helpers above."""
+        length = example.true_length
+        states, finals = self._encode(example.token_ids[None, :], np.array([length]), None)
+        mask = np.zeros(example.token_ids.shape[0], dtype=bool)
+        mask[:length] = True
+        state = EncoderState(states=states[0], final_state=finals, mask=mask, true_length=length)
         attention_scores(state, self.hp.attention_mode)
         context_vector(state)
         return state
 
-    def _encode_rows(self, ids, lengths, masks):
-        """Runs the recurrent stack over a batch; returns one EncoderState
-        per example (attention not yet applied)."""
+    def _encode(self, ids, lengths, masks):
+        """Runs the recurrent stack over a batch padded to its longest row:
+        returns the top layer's states, (n, T, hidden) with T =
+        lengths.max(), and each row's state at its last real token,
+        (n, hidden).  Dropout masks are (rows, hidden) and shared across
+        timesteps."""
         ids = np.asarray(ids)
         lengths = np.asarray(lengths)
-        n = ids.shape[0]
         if (lengths < 1).any():
             raise DataError("cannot encode an empty sequence (true_length = 0)")
-        if ids.shape[1] < lengths.max():
-            raise ShapeError("token id rows shorter than stated true lengths")
-        h = self.hp.hidden_dim
         steps = int(lengths.max())
-        h1 = c1 = h2 = c2 = Tensor(np.zeros((n, h)))
-        states_by_time = []
-        for t in range(steps):
-            x_t = gather_rows(self.embedding, ids[:, t])
-            h1, c1 = lstm_step(self.layer1, h1, c1, x_t)
-            fed = h1 if masks is None else h1 * masks[AFTER_LAYER_1]
-            h2, c2 = lstm_step(self.layer2, h2, c2, fed)
-            visible = h2 if masks is None else h2 * masks[AFTER_LAYER_2]
-            states_by_time.append(visible)
-        out = []
-        for i in range(n):
-            length = int(lengths[i])
-            rows = [states_by_time[t][i : i + 1] for t in range(length)]
-            states_i = rows[0] if length == 1 else concat(rows, axis=0)
-            mask = np.zeros(ids.shape[1], dtype=bool)
-            mask[:length] = True
-            out.append(
-                EncoderState(
-                    states=states_i,
-                    final_state=states_by_time[length - 1][i : i + 1],
-                    mask=mask,
-                    true_length=length,
-                )
-            )
-        return out
+        if ids.shape[1] < steps:
+            raise ShapeError("token id rows shorter than stated true lengths")
+        hidden = lstm_layer(self.layer1, gather_rows(self.embedding, ids[:, :steps]))
+        if masks is not None:
+            hidden = hidden * masks[AFTER_LAYER_1][:, None, :]
+        states = lstm_layer(self.layer2, hidden)
+        if masks is not None:
+            states = states * masks[AFTER_LAYER_2][:, None, :]
+        return states, states[np.arange(len(lengths)), lengths - 1]
 
     def batch_states(self, ids, lengths, masks=None):
         """Graph states with attention applied; returns (states, finals,
-        contexts) where finals and contexts are (n, hidden) tensors."""
-        states = self._encode_rows(ids, lengths, masks)
-        for st in states:
-            attention_scores(st, self.hp.attention_mode)
-            context_vector(st)
-        finals = concat([st.final_state for st in states], axis=0) if len(states) > 1 else states[0].final_state
-        contexts = concat([st.context for st in states], axis=0) if len(states) > 1 else states[0].context
-        return states, finals, contexts
+        contexts): the (n, T, hidden) top-layer states and two (n, hidden)
+        tensors."""
+        states, finals = self._encode(ids, lengths, masks)
+        return states, finals, attend(states, finals, lengths, self.hp.attention_mode)
 
-    def batch_logits(self, ids, lengths, masks=None):
-        _, finals, contexts = self.batch_states(ids, lengths, masks)
+    def _head(self, finals, contexts, masks):
         pred_in = concat([contexts, finals], axis=1)
         if masks is not None:
             pred_in = pred_in * masks[PREDICTION_INPUT]
         return affine(pred_in, self.head_weight, self.head_bias)
+
+    def batch_logits(self, ids, lengths, masks=None):
+        _, finals, contexts = self.batch_states(ids, lengths, masks)
+        return self._head(finals, contexts, masks)
 
     def batch_loss(self, ids, lengths, labels, rng=None, train=True):
         masks = self._placement_masks(len(labels), rng, train)
@@ -362,68 +476,18 @@ class BaseClassifier:
         loss = self.batch_loss(ids, lengths, labels, rng, train)
         return loss, {"cross_entropy": loss.item()}
 
-    # -- numpy forward (prediction) --------------------------------------
-
     def infer_states(self, ids, lengths, masks=None):
-        """Tape-free mirror of the graph encoder, same arithmetic and
-        order: returns (finals, contexts), each (n, hidden)."""
-        ids = np.asarray(ids)
-        lengths = np.asarray(lengths)
-        n = ids.shape[0]
-        if (lengths < 1).any():
-            raise DataError("cannot encode an empty sequence (true_length = 0)")
-        h = self.hp.hidden_dim
-        steps = int(lengths.max())
-        emb = self.embedding.data
-        wx1, wh1, b1 = (p.data for p in self.layer1.parameters())
-        wx2, wh2, b2 = (p.data for p in self.layer2.parameters())
-        h1 = c1 = h2 = c2 = np.zeros((n, h))
-        states = np.empty((steps, n, h))
-        for t in range(steps):
-            x_t = emb[ids[:, t]]
-            pre1 = (x_t @ wx1 + b1) + (h1 @ wh1)
-            i1, f1 = _np_sigmoid(pre1[:, :h]), _np_sigmoid(pre1[:, h : 2 * h])
-            g1, o1 = np.tanh(pre1[:, 2 * h : 3 * h]), _np_sigmoid(pre1[:, 3 * h :])
-            c1 = f1 * c1 + i1 * g1
-            h1 = o1 * np.tanh(c1)
-            fed = h1 if masks is None else h1 * masks[AFTER_LAYER_1]
-            pre2 = (fed @ wx2 + b2) + (h2 @ wh2)
-            i2, f2 = _np_sigmoid(pre2[:, :h]), _np_sigmoid(pre2[:, h : 2 * h])
-            g2, o2 = np.tanh(pre2[:, 2 * h : 3 * h]), _np_sigmoid(pre2[:, 3 * h :])
-            c2 = f2 * c2 + i2 * g2
-            h2 = o2 * np.tanh(c2)
-            states[t] = h2 if masks is None else h2 * masks[AFTER_LAYER_2]
-        finals = np.empty((n, h))
-        contexts = np.empty((n, h))
-        for i in range(n):
-            length = int(lengths[i])
-            valid = states[:length, i, :]              # (L, h)
-            final = states[length - 1, i : i + 1, :]   # (1, h)
-            scores = valid @ final.T                   # (L, 1)
-            weights = self._np_attention(scores)
-            finals[i] = final[0]
-            contexts[i] = (weights.T @ valid)[0]
-        return finals, contexts
+        """The graph encoder under `no_grad`: returns (finals, contexts) as
+        (n, hidden) arrays."""
+        with no_grad():
+            states, finals = self._encode(ids, lengths, masks)
+            contexts = attend(states, finals, lengths, self.hp.attention_mode)
+        return finals.data, contexts.data
 
     def infer_logits(self, ids, lengths, masks=None):
         finals, contexts = self.infer_states(ids, lengths, masks)
-        pred_in = np.concatenate([contexts, finals], axis=1)
-        if masks is not None:
-            pred_in = pred_in * masks[PREDICTION_INPUT]
-        return pred_in @ self.head_weight.data + self.head_bias.data
-
-    def _np_attention(self, scores):
-        if self.hp.attention_mode == "softmax":
-            e = np.exp(scores - scores.max(axis=0, keepdims=True))
-            return e / e.sum(axis=0, keepdims=True)
-        denom = scores.sum()
-        if abs(denom) < 1e-12:
-            log.warning(
-                "degenerate attention: score sum %.3e below 1e-12, using uniform weights",
-                denom,
-            )
-            return np.full_like(scores, 1.0 / scores.shape[0])
-        return scores / denom
+        with no_grad():
+            return self._head(Tensor(finals), Tensor(contexts), masks).data
 
     # -- prediction -------------------------------------------------------
 

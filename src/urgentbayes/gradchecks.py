@@ -1,9 +1,11 @@
 """Packaged finite-difference verification suite.
 
-Covers every differentiable operation plus end-to-end losses for the
-deterministic and variational models at a small fixed configuration
-(hidden 8, sequence 6, latent 4, vocabulary 20, batch 2). Default
-seeds are frozen on well-conditioned draws: coordinates whose true
+Covers every differentiable operation, including the fused recurrent
+layer and the batched attention, plus end-to-end losses for the
+deterministic, Monte Carlo dropout (dropout active, masks frozen by the
+random stream's identity) and variational models at a small fixed
+configuration (hidden 8, sequence 6, latent 4, vocabulary 20, batch 2).
+Default seeds are frozen on well-conditioned draws: coordinates whose true
 gradient is below ~1e-7 sit at the central-difference roundoff floor
 and would fail the relative-error test even with a correct adjoint.
 """
@@ -31,7 +33,7 @@ from .autodiff import (
     softmax_stable,
     tanh_op,
 )
-from .encoder import HyperParams
+from .encoder import HyperParams, attend, init_lstm_layer, lstm_layer
 from .errors import ConfigurationError
 from .training import build_model
 from .vi import ViConfig
@@ -40,7 +42,7 @@ END_TO_END_HP = dict(max_len=6, embed_dim=5, hidden_dim=8, z_dim=4)
 END_TO_END_VOCAB = 20
 DEFAULT_OP_SEED = 3
 # frozen per model kind: probed for conditioning margin, see module docstring
-END_TO_END_SEEDS = {"base": 186, "vi": 220}
+END_TO_END_SEEDS = {"base": 186, "mcd": 20, "vi": 220}
 
 
 @dataclass
@@ -68,6 +70,13 @@ def op_checks(seed: int) -> list[NamedCheck]:
     ids = np.array([0, 2, 2, 5])
     labels = np.array([0, 1, 1])
     logits = _param(gen, (3, 2), "logits")
+    layer = init_lstm_layer(3, 2, RngStream(seed).child("lstm"), "lstm")
+    seq = _param(gen, (3, 4, 3), "seq", lo=-1.0, hi=1.0)
+    seq_lengths = np.array([4, 1, 2])
+    seq_weights = gen.normal(size=(3, 4, 2))
+    states = _param(gen, (3, 4, 2), "states", lo=0.5, hi=2.0)
+    query = _param(gen, (3, 2), "query", lo=0.5, hi=2.0)
+    context_weights = gen.normal(size=(3, 2))
 
     cases = [
         ("add", lambda: (a + b).sum(), [a, b]),
@@ -93,6 +102,21 @@ def op_checks(seed: int) -> list[NamedCheck]:
             lambda: cross_entropy_from_logits(logits, labels),
             [logits],
         ),
+        (
+            "lstm_layer",
+            lambda: (lstm_layer(layer, seq) * seq_weights).sum(),
+            [seq] + layer.parameters(),
+        ),
+        (
+            "attention_softmax",
+            lambda: (attend(states, query, seq_lengths, "softmax") * context_weights).sum(),
+            [states, query],
+        ),
+        (
+            "attention_ratio",
+            lambda: (attend(states, query, seq_lengths, "ratio") * context_weights).sum(),
+            [states, query],
+        ),
     ]
     return [NamedCheck(name, grad_check(f, params)) for name, f, params in cases]
 
@@ -113,7 +137,7 @@ def end_to_end_checks(seed: int | None = None) -> list[NamedCheck]:
     lengths = np.array([6, 5])
     labels = np.array([1, 0])
     out = []
-    for kind in ("base", "vi"):
+    for kind in ("base", "mcd", "vi"):
         kind_seed = END_TO_END_SEEDS[kind] if seed is None else seed
         model = _end_to_end_model(kind, kind_seed)
         rng = RngStream(kind_seed + 1000)

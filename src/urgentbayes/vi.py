@@ -19,6 +19,7 @@ from .autodiff import (
     concat,
     cross_entropy_from_logits,
     exp,
+    no_grad,
     tanh_op,
 )
 from .encoder import BaseClassifier, aggregate_logit_samples, _uniform_init
@@ -226,45 +227,32 @@ class ViClassifier(BaseClassifier):
     def batch_loss(self, ids, lengths, labels, rng=None, train=True):
         return self.batch_loss_parts(ids, lengths, labels, rng, train)[0]
 
-    # -- prediction (numpy mirror of the prior + reconstruction heads) ---
-
-    def _np_prior(self, finals):
-        hidden = np.tanh(
-            finals @ self.heads.prior_hidden_weight.data + self.heads.prior_hidden_bias.data
-        )
-        mu = hidden @ self.heads.prior_mu_weight.data + self.heads.prior_mu_bias.data
-        log_sigma = np.clip(
-            hidden @ self.heads.prior_log_sigma_weight.data + self.heads.prior_log_sigma_bias.data,
-            -LOG_SIGMA_BOUND,
-            LOG_SIGMA_BOUND,
-        )
-        return mu, log_sigma
+    # -- prediction: the prior tower and reconstruction head under no_grad --
 
     def infer_logits(self, ids, lengths, masks=None):
         """Deterministic forward: the latent code pinned at the prior mean."""
         if masks is not None:
             raise UsageError("the variational path has no dropout placements")
-        finals, contexts = self.infer_states(ids, lengths)
-        mu, _ = self._np_prior(finals)
-        pred_in = np.concatenate([mu, finals, contexts], axis=1)
-        return pred_in @ self.heads.recon_weight.data + self.heads.recon_bias.data
+        finals, contexts = (Tensor(a) for a in self.infer_states(ids, lengths))
+        with no_grad():
+            mu = prior_params(finals, self.heads).mu
+            return _recon_logits(mu, finals, contexts, self.heads).data
 
     def predict_batch(self, ids, lengths, rng=None):
         """Sample m_test latent codes from the conditional prior; labels
         play no part anywhere in this path."""
         if rng is None:
             raise UsageError("a random stream is required to sample the latent code")
-        finals, contexts = self.infer_states(ids, lengths)
-        mu, log_sigma = self._np_prior(finals)
-        sigma = np.exp(log_sigma)
-        n = finals.shape[0]
+        finals, contexts = (Tensor(a) for a in self.infer_states(ids, lengths))
+        n = finals.data.shape[0]
         m = self.cfg.m_test
         samples = np.empty((m, n, self.hp.num_classes))
-        for k in range(m):
-            eps = rng.child("eps", k).generator().standard_normal(mu.shape)
-            z = mu + sigma * eps
-            pred_in = np.concatenate([z, finals, contexts], axis=1)
-            samples[k] = pred_in @ self.heads.recon_weight.data + self.heads.recon_bias.data
+        with no_grad():
+            prior = prior_params(finals, self.heads)
+            for k in range(m):
+                eps = rng.child("eps", k).generator().standard_normal((n, self.cfg.z_dim))
+                z = reparameterize(prior, eps)
+                samples[k] = _recon_logits(z, finals, contexts, self.heads).data
         return [aggregate_logit_samples(samples[:, i, :]) for i in range(n)]
 
 

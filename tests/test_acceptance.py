@@ -66,7 +66,7 @@ def _kl(mu_q, ls_q, mu_p, ls_p):
 
 
 def test_criterion_1_gradient_correctness():
-    # every operation plus end-to-end base and vi losses at
+    # every operation plus end-to-end base, mcd and vi losses at
     # h=8, s=6, z=4, vocab 20, batch 2; rel err <= 1e-4 with eps 1e-5
     t0 = time.monotonic()
     checks = run_all("small")

@@ -21,6 +21,7 @@ EXPECTED_OPS = {
     "add", "subtract", "multiply", "divide", "negate", "matmul", "affine",
     "transpose_slice", "sigmoid", "tanh", "exp", "log", "clip", "softmax",
     "concat", "gather_rows", "sum_axis", "mean", "cross_entropy",
+    "lstm_layer", "attention_softmax", "attention_ratio",
 }
 
 
@@ -44,18 +45,18 @@ class TestEndToEnd:
         for c in checks:
             assert c.passed, f"{c.name}: {c.report.summary()}"
         names = {c.name for c in checks}
-        assert names == {"end_to_end_base_loss", "end_to_end_vi_loss"}
+        assert names == {"end_to_end_base_loss", "end_to_end_mcd_loss", "end_to_end_vi_loss"}
         assert elapsed < 60
 
     def test_default_seeds_cover_both_kinds(self):
-        assert set(END_TO_END_SEEDS) == {"base", "vi"}
+        assert set(END_TO_END_SEEDS) == {"base", "mcd", "vi"}
 
 
 class TestRunAll:
     def test_small_suite_passes(self):
         checks = run_all("small")
         assert all(c.passed for c in checks)
-        assert len(checks) == len(EXPECTED_OPS) + 2
+        assert len(checks) == len(EXPECTED_OPS) + 3
 
     def test_large_repeats_op_draws(self):
         # no model run needed to verify the count contract
@@ -72,16 +73,17 @@ class TestRunAll:
 
 class TestNegativeControl:
     def test_corrupted_adjoint_is_reported(self, monkeypatch):
-        real_tanh = encoder.tanh_op
+        real_layer = encoder.lstm_layer
 
-        def corrupt_tanh(x):
-            out = real_tanh(x)
+        def corrupt_layer(params, x):
+            out = real_layer(params, x)
             if out._parents:
-                # sabotage: drops the 1 - tanh^2 factor entirely
-                out._backward = lambda g: ad._accumulate(x, g)
+                real_backward = out._backward
+                # sabotage: halves every adjoint the recurrent layer passes back
+                out._backward = lambda g: real_backward(0.5 * g)
             return out
 
-        monkeypatch.setattr(encoder, "tanh_op", corrupt_tanh)
+        monkeypatch.setattr(encoder, "lstm_layer", corrupt_layer)
         checks = end_to_end_checks()
         base = next(c for c in checks if c.name == "end_to_end_base_loss")
         assert not base.passed

@@ -38,6 +38,12 @@ def tiny_vi(seed=0, vocab=20, **overrides):
     return ViClassifier(hp, emb, RngStream(seed), ViConfig(z_dim=hp.z_dim))
 
 
+def prior_arrays(model, finals):
+    """(mu, log_sigma) of the conditional prior for (n, hidden) finals."""
+    prior = prior_params(Tensor(finals), model.heads)
+    return prior.mu.data, prior.log_sigma.data
+
+
 def gaussian(mu, log_sigma):
     mu = np.atleast_2d(np.asarray(mu, dtype=np.float64))
     ls = np.atleast_2d(np.asarray(log_sigma, dtype=np.float64))
@@ -403,7 +409,7 @@ class TestViPrediction:
         model = tiny_vi(seed=57)
         ids, lengths = np.array([[2, 3, 4, 0, 0, 0], [5, 6, 0, 0, 0, 0]]), np.array([3, 2])
         finals, contexts = model.infer_states(ids, lengths)
-        mu, _ = model._np_prior(finals)
+        mu, _ = prior_arrays(model, finals)
         pred_in = np.concatenate([mu, finals, contexts], axis=1)
         expected = pred_in @ model.heads.recon_weight.data + model.heads.recon_bias.data
         np.testing.assert_array_equal(model.infer_logits(ids, lengths), expected)
@@ -414,7 +420,7 @@ class TestViPrediction:
         model = tiny_vi(seed=39)
         ids, lengths = np.array([[2, 3, 4, 5, 0, 0]]), np.array([4])
         finals, contexts = model.infer_states(ids, lengths)
-        mu, ls = model._np_prior(finals)
+        mu, ls = prior_arrays(model, finals)
         sigma = np.exp(ls)
         rng = RngStream(40)
         big = 2000
