@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ConfigurationError,
     DomainError,
     NonFiniteError,
     ShapeError,
@@ -452,24 +451,6 @@ def softmax_stable(x, axis=-1):
             inner = (g * y).sum(axis=axis, keepdims=True)
             _accumulate(x, y * (g - inner))
         out._backward = bwd
-    return out
-
-
-def dropout(x, rate, rng, active=True):
-    """Inverted dropout: zero each element with probability `rate` and
-    scale survivors by 1/(1-rate) so the expectation is preserved.
-
-    `rng` is consumed as a whole stream: the mask is fully determined by
-    the stream identity.  Inactive (or rate 0) is the identity."""
-    if not 0.0 <= rate < 1.0:
-        raise ConfigurationError(f"dropout rate must be in [0, 1), got {rate}")
-    if not active or rate == 0.0:
-        return x
-    keep = rng.generator().random(x.data.shape) >= rate
-    scale = keep / (1.0 - rate)
-    out = _node(x.data * scale, (x,))
-    if out._parents:
-        out._backward = lambda g: _accumulate(x, g * scale)
     return out
 
 

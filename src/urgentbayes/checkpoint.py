@@ -5,8 +5,8 @@ length-prefixed JSON header (model kind, hyperparameters, sampling
 configs, vocabulary tokens in id order), then named parameter blocks.
 Each block stores the name, the shape, and the values as row-major
 float64 little-endian bytes. Loading rejects unknown versions, bad
-magic, truncation, and any name or shape that disagrees with the model
-rebuilt from the header.
+magic, truncation, header values no model can be built from, and any
+name or shape that disagrees with the model rebuilt from the header.
 """
 
 from __future__ import annotations
@@ -18,13 +18,20 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .corpus import Vocabulary
-from .encoder import BaseClassifier, HyperParams
-from .errors import CheckpointError
+from .encoder import MODEL_KINDS, BaseClassifier, HyperParams
+from .errors import CheckpointError, ConfigurationError
 from .mcd import McdConfig
 from .vi import ViConfig
 
 MAGIC = b"URGENTBAYES-CKPT\n"
 FORMAT_VERSION = 1
+
+# header keys of removed settings that had one legal value; older files
+# carry them and still load, at that value only
+LEGACY_KEYS = {
+    "hyperparams": {"num_layers": 2, "num_classes": 2},
+    "mcd": {"aggregate": "mean_logits"},
+}
 
 
 @dataclass
@@ -99,6 +106,17 @@ class _Reader:
         return struct.unpack("<Q", self.take(8))[0]
 
 
+def _section(header: dict, name: str) -> dict:
+    """A header section's fields, with its legacy keys checked and dropped."""
+    values = dict(header[name])
+    for key, legal in LEGACY_KEYS.get(name, {}).items():
+        if key in values:
+            value = values.pop(key)
+            if value != legal:
+                raise ConfigurationError(f"{name}.{key} must be {legal!r}, got {value!r}")
+    return values
+
+
 def load_checkpoint(path: str) -> CheckpointData:
     try:
         with open(path, "rb") as f:
@@ -136,19 +154,33 @@ def load_checkpoint(path: str) -> CheckpointData:
     if r.pos != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after last block")
 
+    if header["model_kind"] not in MODEL_KINDS:
+        raise CheckpointError(
+            f"{path}: model_kind must be one of {MODEL_KINDS}, got {header['model_kind']!r}"
+        )
     try:
-        hp = HyperParams(**header["hyperparams"])
+        hp = HyperParams(**_section(header, "hyperparams"))
         hp.validate()
-        mcd_cfg = McdConfig(**header["mcd"]) if header.get("mcd") else None
+        mcd_cfg = McdConfig(**_section(header, "mcd")) if header.get("mcd") else None
         vi_cfg = ViConfig(**header["vi"]) if header.get("vi") else None
-    except TypeError as exc:
+        for cfg in (mcd_cfg, vi_cfg):
+            if cfg is not None:
+                cfg.validate()
+        if vi_cfg is not None and vi_cfg.z_dim != hp.z_dim:
+            raise ConfigurationError(
+                f"vi.z_dim {vi_cfg.z_dim} differs from hyperparams.z_dim {hp.z_dim}"
+            )
+        vocab = header["vocab"]
+        if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab):
+            raise ConfigurationError("vocab must be a list of token strings")
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad header fields: {exc}") from exc
     return CheckpointData(
         model_kind=header["model_kind"],
         hyperparams=hp,
         mcd_cfg=mcd_cfg,
         vi_cfg=vi_cfg,
-        vocab_tokens=list(header["vocab"]),
+        vocab_tokens=vocab,
         params=params,
     )
 

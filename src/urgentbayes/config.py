@@ -41,7 +41,6 @@ class RunConfig:
     min_frequency: int = 2
     # paths (empty string = not set; flags may override)
     train_data: str = ""
-    eval_data: str = ""
     vocab_path: str = ""
     embeddings_path: str = ""
     out_dir: str = ""

@@ -42,7 +42,7 @@ from .autodiff import (
     transpose,
 )
 from .errors import ConfigurationError, DataError, ShapeError, UsageError
-from .metrics import predictive_entropy
+from .metrics import NUM_CLASSES, predictive_entropy
 
 log = logging.getLogger(__name__)
 
@@ -65,8 +65,6 @@ class HyperParams:
     max_len: int = 128
     embed_dim: int = 300
     hidden_dim: int = 128
-    num_layers: int = 2
-    num_classes: int = 2
     attention_mode: str = "softmax"
     z_dim: int = 16
 
@@ -74,10 +72,6 @@ class HyperParams:
         for name in ("max_len", "embed_dim", "hidden_dim", "z_dim"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.num_layers != 2:
-            raise ConfigurationError("the architecture is fixed at two recurrent layers")
-        if self.num_classes != 2:
-            raise ConfigurationError("the task is binary; num_classes must be 2")
         if self.attention_mode not in ATTENTION_MODES:
             raise ConfigurationError(
                 f"attention_mode must be one of {ATTENTION_MODES}, got {self.attention_mode!r}"
@@ -213,37 +207,16 @@ def lstm_layer(params, x):
     return out
 
 
-def embed_sequence(example, table):
-    """Rows of the embedding table for the example's token ids.
-
-    Accepts a Parameter/Tensor table (gradient flows into used rows) or a
-    plain EmbeddingTable."""
-    tensor = table if isinstance(table, Tensor) else Tensor(table.matrix)
-    return gather_rows(tensor, example.token_ids)
-
-
 @dataclass
 class EncoderState:
-    """Graph-side outputs of encoding one example.
+    """One example's encoder outputs, as the reference `attention_scores`
+    and `context_vector` read and fill them."""
 
-    `states` holds only the rows for real tokens; `mask` marks which of
-    the padded positions those are."""
-
-    states: Tensor                 # (true_length, hidden)
+    states: Tensor                 # (true_length, hidden), real tokens only
     final_state: Tensor            # (1, hidden), state at the last real token
-    mask: np.ndarray               # (max_len,) bool
-    true_length: int
     attention: Tensor = None       # (true_length, 1) once computed
     context: Tensor = None         # (1, hidden) once computed
     attention_degenerate: bool = False
-
-    def attention_padded(self):
-        """(max_len,) weights with exact zeros at padded positions."""
-        if self.attention is None:
-            raise UsageError("attention weights not computed yet")
-        out = np.zeros(self.mask.shape[0])
-        out[: self.true_length] = self.attention.data[:, 0]
-        return out
 
 
 def _ratio_weights_graph(scores):
@@ -278,13 +251,6 @@ def context_vector(state):
     ctx = matmul(transpose(state.attention), state.states)
     state.context = ctx
     return ctx
-
-
-def predict_logits(state, head_weight, head_bias):
-    """Affine head on (context ⊕ final state)."""
-    if state.context is None:
-        raise UsageError("compute the context vector before predicting")
-    return affine(concat([state.context, state.final_state], axis=1), head_weight, head_bias)
 
 
 def _warn_degenerate(denom):
@@ -354,7 +320,7 @@ def aggregate_logit_samples(per_sample_logits):
     Ties at argmax resolve to label 0."""
     samples = np.asarray(per_sample_logits, dtype=np.float64)
     if samples.ndim != 2:
-        raise ShapeError("expected an (M, num_classes) array of logits")
+        raise ShapeError(f"expected an (M, {NUM_CLASSES}) array of logits")
     m = samples.shape[0]
     if (samples == samples[0]).all():
         # the exact mean of identical rows is the row itself; fsum/m would
@@ -397,9 +363,9 @@ class BaseClassifier:
         self.layer1 = init_lstm_layer(hp.embed_dim, h, init.child("layer1"), "layer1")
         self.layer2 = init_lstm_layer(h, h, init.child("layer2"), "layer2")
         self.head_weight = Parameter(
-            _uniform_init(init.child("head"), (2 * h, hp.num_classes), 2 * h), "head.weight"
+            _uniform_init(init.child("head"), (2 * h, NUM_CLASSES), 2 * h), "head.weight"
         )
-        self.head_bias = Parameter(np.zeros(hp.num_classes), "head.bias")
+        self.head_bias = Parameter(np.zeros(NUM_CLASSES), "head.bias")
 
     def parameters(self):
         return (
@@ -411,23 +377,11 @@ class BaseClassifier:
 
     # -- dropout hooks (overridden by the Monte Carlo variant) ----------
 
-    def _placement_masks(self, n_rows, rng, train):
+    def _placement_masks(self, n_rows, rng):
         """Scaled keep-masks per placement index, or None for no dropout."""
         return None
 
     # -- forward ------------------------------------------------------------
-
-    def encode_example(self, example):
-        """Single-example encoding through the reference attention; for
-        tests and the per-example helpers above."""
-        length = example.true_length
-        states, finals = self._encode(example.token_ids[None, :], np.array([length]), None)
-        mask = np.zeros(example.token_ids.shape[0], dtype=bool)
-        mask[:length] = True
-        state = EncoderState(states=states[0], final_state=finals, mask=mask, true_length=length)
-        attention_scores(state, self.hp.attention_mode)
-        context_vector(state)
-        return state
 
     def _encode(self, ids, lengths, masks):
         """Runs the recurrent stack over a batch padded to its longest row:
@@ -467,13 +421,13 @@ class BaseClassifier:
         _, finals, contexts = self.batch_states(ids, lengths, masks)
         return self._head(finals, contexts, masks)
 
-    def batch_loss(self, ids, lengths, labels, rng=None, train=True):
-        masks = self._placement_masks(len(labels), rng, train)
+    def batch_loss(self, ids, lengths, labels, rng=None):
+        masks = self._placement_masks(len(labels), rng)
         return cross_entropy_from_logits(self.batch_logits(ids, lengths, masks), labels)
 
-    def batch_loss_parts(self, ids, lengths, labels, rng=None, train=True):
+    def batch_loss_parts(self, ids, lengths, labels, rng=None):
         """Loss tensor plus named scalar components for the loss trace."""
-        loss = self.batch_loss(ids, lengths, labels, rng, train)
+        loss = self.batch_loss(ids, lengths, labels, rng)
         return loss, {"cross_entropy": loss.item()}
 
     def infer_states(self, ids, lengths, masks=None):

@@ -25,14 +25,13 @@ from .encoder import (
     aggregate_logit_samples,
 )
 from .errors import ConfigurationError, UsageError
+from .metrics import NUM_CLASSES
 
 __all__ = [
     "McdConfig",
     "McdClassifier",
     "PredictiveDistribution",
     "aggregate_logit_samples",
-    "mcd_forward",
-    "mcd_predict",
 ]
 
 
@@ -40,7 +39,6 @@ __all__ = [
 class McdConfig:
     dropout_rate: float = 0.3
     num_samples: int = 50
-    aggregate: str = "mean_logits"
 
     def validate(self):
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -49,8 +47,6 @@ class McdConfig:
             )
         if self.num_samples < 1:
             raise ConfigurationError(f"num_samples must be >= 1, got {self.num_samples}")
-        if self.aggregate != "mean_logits":
-            raise ConfigurationError(f"unknown aggregate mode {self.aggregate!r}")
 
 
 class McdClassifier(BaseClassifier):
@@ -80,7 +76,7 @@ class McdClassifier(BaseClassifier):
             masks[placement] = keep / (1.0 - rate)
         return masks
 
-    def _placement_masks(self, n_rows, rng, train):
+    def _placement_masks(self, n_rows, rng):
         """Training: one mask row per batch element per placement, reused
         across timesteps.  Rate 0 disables masking entirely."""
         if self.cfg.dropout_rate == 0.0:
@@ -107,22 +103,7 @@ class McdClassifier(BaseClassifier):
             single = self.infer_logits(ids, lengths)
             samples = np.tile(single, (m, 1, 1))
         else:
-            samples = np.empty((m, n, self.hp.num_classes))
+            samples = np.empty((m, n, NUM_CLASSES))
             for k in range(m):
                 samples[k] = self.sample_logits(ids, lengths, rng, k)
         return [aggregate_logit_samples(samples[:, i, :]) for i in range(n)]
-
-
-def mcd_forward(example, model, rng, sample_index):
-    """Single-example stochastic pass; returns a logits 2-vector."""
-    logits = model.sample_logits(
-        example.token_ids[None, :], np.array([example.true_length]), rng, sample_index
-    )
-    return logits[0]
-
-
-def mcd_predict(example, model, rng):
-    """Average num_samples stochastic passes into one distribution."""
-    return model.predict_batch(
-        example.token_ids[None, :], np.array([example.true_length]), rng
-    )[0]

@@ -9,6 +9,9 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError, ShapeError, UsageError
 
+# the task is binary: 0 = not urgent, 1 = urgent
+NUM_CLASSES = 2
+
 
 def predictive_entropy(probs):
     """Shannon entropy -sum(p * ln p) of a probability vector, nats.
@@ -24,16 +27,16 @@ def predictive_entropy(probs):
     return float(max(0.0, -(positive * np.log(positive)).sum()))
 
 
-def confusion_matrix(y_true, y_pred, num_classes=2):
+def confusion_matrix(y_true, y_pred):
     """counts[i][j] = number of examples with true label i predicted as j."""
     y_true = np.asarray(y_true, dtype=np.intp)
     y_pred = np.asarray(y_pred, dtype=np.intp)
     if y_true.shape != y_pred.shape:
         raise ShapeError(f"label arrays differ in shape: {y_true.shape} vs {y_pred.shape}")
     for arr, what in ((y_true, "true"), (y_pred, "predicted")):
-        if arr.size and (arr.min() < 0 or arr.max() >= num_classes):
-            raise DomainError(f"{what} label out of range for {num_classes} classes")
-    counts = np.zeros((num_classes, num_classes), dtype=np.int64)
+        if arr.size and (arr.min() < 0 or arr.max() >= NUM_CLASSES):
+            raise DomainError(f"{what} label out of range for {NUM_CLASSES} classes")
+    counts = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
     np.add.at(counts, (y_true, y_pred), 1)
     return counts
 

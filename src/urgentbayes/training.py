@@ -39,7 +39,6 @@ class TrainConfig:
     epochs: int = 20
     seed: int = 0
     model_kind: str = "base"
-    optimizer: str = "adaptive_moment"
     gradient_clip_norm: float | None = 5.0
 
     def validate(self) -> None:
@@ -52,10 +51,6 @@ class TrainConfig:
         if self.model_kind not in MODEL_KINDS:
             raise ConfigurationError(
                 f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}"
-            )
-        if self.optimizer != "adaptive_moment":
-            raise ConfigurationError(
-                f"unsupported optimizer {self.optimizer!r}"
             )
         if self.gradient_clip_norm is not None and not self.gradient_clip_norm > 0:
             raise ConfigurationError("gradient_clip_norm must be positive or none")
@@ -161,7 +156,7 @@ def train(
             step_rng = root.child("step", global_step)
             try:
                 loss, parts = model.batch_loss_parts(
-                    ids[pick], lengths[pick], labels[pick], rng=step_rng, train=True
+                    ids[pick], lengths[pick], labels[pick], rng=step_rng
                 )
                 loss_value = loss.item()
                 if not math.isfinite(loss_value):

@@ -24,6 +24,7 @@ from .autodiff import (
 )
 from .encoder import BaseClassifier, aggregate_logit_samples, _uniform_init
 from .errors import ConfigurationError, ShapeError, UsageError
+from .metrics import NUM_CLASSES
 
 LOG_SIGMA_BOUND = 8.0
 
@@ -108,8 +109,8 @@ def init_vi_heads(hidden_dim, z_dim, rng):
         prior_mu_bias=zero(z, "prior_mu.bias"),
         prior_log_sigma_weight=make("prior_log_sigma", (h, z), h, "prior_log_sigma.weight"),
         prior_log_sigma_bias=zero(z, "prior_log_sigma.bias"),
-        recon_weight=make("recon", (z + 2 * h, 2), z + 2 * h, "recon.weight"),
-        recon_bias=zero(2, "recon.bias"),
+        recon_weight=make("recon", (z + 2 * h, NUM_CLASSES), z + 2 * h, "recon.weight"),
+        recon_bias=zero(NUM_CLASSES, "recon.bias"),
     )
 
 
@@ -162,14 +163,8 @@ def kl_diag_gaussians(q, p):
     return terms.sum(axis=1)
 
 
-def reconstruction_logits(z, state, heads):
-    """Affine head on (z ⊕ final state ⊕ context) for one encoded example."""
-    if state.context is None:
-        raise UsageError("encoder state is missing the context vector")
-    return _recon_logits(z, state.final_state, state.context, heads)
-
-
 def _recon_logits(z, finals, contexts, heads):
+    """Affine head on (z ⊕ final state ⊕ context), one row per example."""
     return affine(concat([z, finals, contexts], axis=1), heads.recon_weight, heads.recon_bias)
 
 
@@ -190,16 +185,6 @@ def _elbo_parts(finals, contexts, labels, heads, cfg, rng):
     return recon + kl * cfg.kl_weight, recon, kl
 
 
-def elbo_loss(state, label, heads, cfg, rng):
-    """Negative ELBO for one encoded example (training objective)."""
-    if state.context is None:
-        raise UsageError("encoder state is missing the context vector")
-    loss, _, _ = _elbo_parts(
-        state.final_state, state.context, np.array([label]), heads, cfg, rng
-    )
-    return loss
-
-
 class ViClassifier(BaseClassifier):
     kind = "vi"
 
@@ -217,15 +202,15 @@ class ViClassifier(BaseClassifier):
     def parameters(self):
         return super().parameters() + self.heads.parameters()
 
-    def batch_loss_parts(self, ids, lengths, labels, rng=None, train=True):
+    def batch_loss_parts(self, ids, lengths, labels, rng=None):
         if rng is None:
             raise UsageError("a random stream is required to sample the latent code")
         _, finals, contexts = self.batch_states(ids, lengths)
         loss, recon, kl = _elbo_parts(finals, contexts, labels, self.heads, self.cfg, rng)
         return loss, {"reconstruction": recon.item(), "kl": kl.item()}
 
-    def batch_loss(self, ids, lengths, labels, rng=None, train=True):
-        return self.batch_loss_parts(ids, lengths, labels, rng, train)[0]
+    def batch_loss(self, ids, lengths, labels, rng=None):
+        return self.batch_loss_parts(ids, lengths, labels, rng)[0]
 
     # -- prediction: the prior tower and reconstruction head under no_grad --
 
@@ -246,7 +231,7 @@ class ViClassifier(BaseClassifier):
         finals, contexts = (Tensor(a) for a in self.infer_states(ids, lengths))
         n = finals.data.shape[0]
         m = self.cfg.m_test
-        samples = np.empty((m, n, self.hp.num_classes))
+        samples = np.empty((m, n, NUM_CLASSES))
         with no_grad():
             prior = prior_params(finals, self.heads)
             for k in range(m):
@@ -254,10 +239,3 @@ class ViClassifier(BaseClassifier):
                 z = reparameterize(prior, eps)
                 samples[k] = _recon_logits(z, finals, contexts, self.heads).data
         return [aggregate_logit_samples(samples[:, i, :]) for i in range(n)]
-
-
-def vi_predict(example, model, rng):
-    """Single-example prediction; reads token ids and length only."""
-    return model.predict_batch(
-        example.token_ids[None, :], np.array([example.true_length]), rng
-    )[0]

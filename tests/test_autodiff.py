@@ -15,7 +15,6 @@ from urgentbayes.autodiff import (
     clip,
     concat,
     cross_entropy_from_logits,
-    dropout,
     exp,
     gather_rows,
     grad_check,
@@ -27,6 +26,7 @@ from urgentbayes.autodiff import (
     tanh_op,
     transpose,
 )
+from urgentbayes.encoder import BaseClassifier, HyperParams
 from urgentbayes.errors import (
     ConfigurationError,
     DomainError,
@@ -34,6 +34,7 @@ from urgentbayes.errors import (
     ShapeError,
     UsageError,
 )
+from urgentbayes.mcd import McdClassifier, McdConfig
 
 
 def scalar(t):
@@ -221,12 +222,6 @@ class TestFiniteDifferenceProperties:
             lambda a: (transpose(a)[1:3] * 2.0).mean(), [(4, 5)], 7
         )
 
-    def test_dropout_scaled_path(self):
-        stream = RngStream(99).child("fd")
-        self._check(
-            lambda a: dropout(a, 0.4, stream).sum(), [(6, 6)], 8
-        )
-
     def test_concat_gather(self):
         ids = np.array([0, 2, 2, 1])
         self._check(
@@ -250,43 +245,50 @@ class TestFiniteDifferenceProperties:
         assert not report.passed
 
 
+def dropout_model(rate, hidden_dim=4):
+    hp = HyperParams(max_len=4, embed_dim=3, hidden_dim=hidden_dim, z_dim=2)
+    return McdClassifier(hp, np.zeros((5, 3)), RngStream(0), McdConfig(dropout_rate=rate))
+
+
 class TestDropout:
+    """Inverted dropout as the models draw it: one scaled keep-mask per
+    placement from `_placement_masks`."""
+
     def test_rate_zero_is_identity_object(self):
-        x = Tensor(np.ones((3, 3)))
-        assert dropout(x, 0.0, RngStream(1)) is x
+        assert dropout_model(0.0)._placement_masks(3, RngStream(1)) is None
 
     def test_inactive_is_identity_object(self):
-        x = Tensor(np.ones((3, 3)))
-        assert dropout(x, 0.5, RngStream(1), active=False) is x
+        # the deterministic model's hook draws no masks
+        assert BaseClassifier._placement_masks(dropout_model(0.3), 3, RngStream(1)) is None
 
     def test_mask_deterministic_per_stream(self):
-        x = Tensor(np.ones((8, 8)))
-        a = dropout(x, 0.3, RngStream(5).child("m", 0)).data
-        b = dropout(x, 0.3, RngStream(5).child("m", 0)).data
-        c = dropout(x, 0.3, RngStream(5).child("m", 1)).data
-        np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, c)
+        model = dropout_model(0.3, hidden_dim=8)
+        a = model._placement_masks(8, RngStream(5).child("m", 0))
+        b = model._placement_masks(8, RngStream(5).child("m", 0))
+        c = model._placement_masks(8, RngStream(5).child("m", 1))
+        for placement in a:
+            np.testing.assert_array_equal(a[placement], b[placement])
+            assert not np.array_equal(a[placement], c[placement])
 
     def test_preserves_expectation(self):
-        x = Tensor(np.ones((100, 100)))
+        model = dropout_model(0.3, hidden_dim=100)
         base = RngStream(123).child("exp")
-        means = [
-            dropout(x, 0.3, base.child(i)).data.mean() for i in range(50)
-        ]
+        means = [model._placement_masks(100, base.child(i))[0].mean() for i in range(50)]
         assert abs(np.mean(means) - 1.0) < 0.01
 
     def test_survivors_scaled(self):
-        x = Tensor(np.full((10, 10), 2.0))
-        y = dropout(x, 0.5, RngStream(7)).data
-        kept = y[y != 0]
-        np.testing.assert_allclose(kept, 4.0)
+        for rate in (0.5, 0.3):
+            masks = dropout_model(rate, hidden_dim=10)._placement_masks(10, RngStream(7))
+            for mask in masks.values():
+                kept = mask[mask != 0]
+                assert kept.size
+                np.testing.assert_array_equal(kept, 1.0 / (1.0 - rate))
 
     def test_invalid_rate_rejected(self):
-        x = Tensor(np.ones(3))
         with pytest.raises(ConfigurationError):
-            dropout(x, 1.0, RngStream(1))
+            dropout_model(1.0)
         with pytest.raises(ConfigurationError):
-            dropout(x, -0.1, RngStream(1))
+            dropout_model(-0.1)
 
 
 class TestValidation:

@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from urgentbayes import cli
+from urgentbayes.autodiff import GradCheckFailure, GradCheckReport
 from urgentbayes.cli import main
+from urgentbayes.gradchecks import NamedCheck
 from urgentbayes.synthetic import synthetic_posts, write_posts_csv
 
 TINY_CFG = """
@@ -280,6 +283,44 @@ class TestPredict:
         )
         assert code == 2
         assert "no tokens" in err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [(None, "model_kind", "xyz"), ("hyperparams", "num_layers", 3), ("mcd", "aggregate", "median")],
+    )
+    def test_bad_header_is_data_error(
+        self, mcd_checkpoint, tmp_path, capsys, edit_header, section, key, value
+    ):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(open(mcd_checkpoint, "rb").read())
+
+        def set_value(header):
+            (header if section is None else header[section])[key] = value
+
+        edit_header(str(bad), set_value)
+        code, _, err = run_cli(capsys, ["predict", "--checkpoint", str(bad), "--text", "the quiz"])
+        assert code == 2
+        assert key in err and f"got {value!r}" in err
+
+
+class TestGradcheck:
+    def test_exit_codes_and_tally(self, monkeypatch, capsys):
+        passing = NamedCheck("ok_op", GradCheckReport(n_checked=4, max_rel_error=1e-9))
+        failing = NamedCheck(
+            "bad_op",
+            GradCheckReport(
+                n_checked=4, max_rel_error=0.5,
+                failures=[GradCheckFailure("p", 0, 1.0, 2.0, 0.5)],
+            ),
+        )
+        monkeypatch.setattr(cli, "run_all", lambda size, seed: [passing])
+        code, out, _ = run_cli(capsys, ["gradcheck"])
+        assert code == 0
+        assert "1/1 checks passed" in out
+        monkeypatch.setattr(cli, "run_all", lambda size, seed: [passing, failing])
+        code, out, _ = run_cli(capsys, ["gradcheck"])
+        assert code == 3
+        assert "1/2 checks passed, 1 FAILED" in out
 
 
 class TestUsageErrors:

@@ -11,21 +11,20 @@ from urgentbayes.autodiff import (
     RngStream,
     Tensor,
     backward,
+    gather_rows,
     grad_check,
 )
-from urgentbayes.corpus import LabeledExample
 from urgentbayes.encoder import (
     BaseClassifier,
     EncoderState,
     HyperParams,
     LstmLayerParams,
     aggregate_logit_samples,
+    attend,
     attention_scores,
     context_vector,
-    embed_sequence,
     init_lstm_layer,
     lstm_step,
-    predict_logits,
 )
 from urgentbayes.errors import ConfigurationError, DataError, UsageError
 
@@ -43,23 +42,16 @@ def tiny_model(seed=0, vocab_size=20, **hp_overrides):
     return BaseClassifier(hp, emb, rng)
 
 
-def example(ids, length, label=0, max_len=6):
-    arr = np.zeros(max_len, dtype=np.int64)
-    arr[: len(ids)] = ids
-    return LabeledExample(arr, length, label)
+def one_row(ids, max_len=6):
+    """A single-row (ids, lengths) batch padded to max_len."""
+    arr = np.zeros((1, max_len), dtype=np.int64)
+    arr[0, : len(ids)] = ids
+    return arr, np.array([len(ids)])
 
 
 class TestHyperParams:
     def test_defaults_valid(self):
         HyperParams().validate()
-
-    def test_layer_count_fixed(self):
-        with pytest.raises(ConfigurationError):
-            HyperParams(num_layers=3).validate()
-
-    def test_binary_only(self):
-        with pytest.raises(ConfigurationError):
-            HyperParams(num_classes=4).validate()
 
     def test_attention_mode_checked(self):
         with pytest.raises(ConfigurationError):
@@ -117,17 +109,17 @@ class TestLstmStep:
 
 
 class TestEmbedSequence:
+    """The embedding lookup: `gather_rows` over a batch of id rows."""
+
     def test_lookup_rows(self):
         table = Parameter(np.arange(12.0).reshape(4, 3), "emb")
-        ex = example([2, 0, 0], 1, max_len=3)
-        rows = embed_sequence(ex, table)
-        np.testing.assert_array_equal(rows.data[0], [6, 7, 8])
-        np.testing.assert_array_equal(rows.data[1], [0, 1, 2])
+        rows = gather_rows(table, np.array([[2, 0, 0]]))
+        np.testing.assert_array_equal(rows.data[0, 0], [6, 7, 8])
+        np.testing.assert_array_equal(rows.data[0, 1], [0, 1, 2])
 
     def test_repeated_token_doubles_gradient(self):
         table = Parameter(np.ones((4, 3)), "emb")
-        ex = example([2, 2, 1], 3, max_len=3)
-        rows = embed_sequence(ex, table)
+        rows = gather_rows(table, np.array([[2, 2, 1]]))
         backward(rows.sum())
         np.testing.assert_array_equal(table.grad[2], [2, 2, 2])
         np.testing.assert_array_equal(table.grad[1], [1, 1, 1])
@@ -137,13 +129,7 @@ class TestEmbedSequence:
 class TestAttention:
     def _state(self, states, final_row):
         s = np.asarray(states, dtype=np.float64)
-        mask = np.ones(s.shape[0], dtype=bool)
-        return EncoderState(
-            states=Tensor(s),
-            final_state=Tensor(s[final_row : final_row + 1]),
-            mask=mask,
-            true_length=s.shape[0],
-        )
+        return EncoderState(states=Tensor(s), final_state=Tensor(s[final_row : final_row + 1]))
 
     def test_equal_scores_uniform_both_modes(self):
         v = [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]
@@ -157,8 +143,6 @@ class TestAttention:
         st = EncoderState(
             states=Tensor([[math.log(2.0)], [0.0]]),
             final_state=Tensor([[1.0]]),
-            mask=np.ones(2, dtype=bool),
-            true_length=2,
         )
         w = attention_scores(st, "softmax")
         np.testing.assert_allclose(w.data[:, 0], [2 / 3, 1 / 3], rtol=1e-12)
@@ -167,8 +151,6 @@ class TestAttention:
         st = EncoderState(
             states=Tensor([[3.0], [1.0]]),
             final_state=Tensor([[1.0]]),
-            mask=np.ones(2, dtype=bool),
-            true_length=2,
         )
         w = attention_scores(st, "ratio")
         np.testing.assert_allclose(w.data[:, 0], [0.75, 0.25], rtol=1e-12)
@@ -178,8 +160,6 @@ class TestAttention:
         st = EncoderState(
             states=Tensor([[1.0], [-1.0]]),
             final_state=Tensor([[1.0]]),
-            mask=np.ones(2, dtype=bool),
-            true_length=2,
         )
         with caplog.at_level(logging.WARNING):
             w = attention_scores(st, "ratio")
@@ -194,8 +174,6 @@ class TestAttention:
             st = EncoderState(
                 states=Tensor(base + shift),
                 final_state=Tensor([[1.0]]),
-                mask=np.ones(4, dtype=bool),
-                true_length=4,
             )
             w = attention_scores(st, "softmax")
             if shift == 0.0:
@@ -213,8 +191,6 @@ class TestAttention:
         st = EncoderState(
             states=Tensor([[1.0, 0.0], [0.0, 1.0]]),
             final_state=Tensor([[1.0, 0.0]]),
-            mask=np.ones(2, dtype=bool),
-            true_length=2,
         )
         st.attention = Tensor([[0.75], [0.25]])
         ctx = context_vector(st)
@@ -227,78 +203,82 @@ class TestAttention:
 
 
 class TestPredictLogits:
+    """The prediction head: affine on (context ⊕ final state)."""
+
     def test_zero_head_gives_bias(self):
-        st = EncoderState(
-            states=Tensor([[1.0, 2.0]]),
-            final_state=Tensor([[1.0, 2.0]]),
-            mask=np.ones(1, dtype=bool),
-            true_length=1,
-        )
-        attention_scores(st)
-        context_vector(st)
-        w = Parameter(np.zeros((4, 2)), "w")
-        b = Parameter(np.array([0.3, -0.9]), "b")
-        logits = predict_logits(st, w, b)
-        np.testing.assert_allclose(logits.data, [[0.3, -0.9]], atol=1e-15)
+        model = tiny_model(seed=1)
+        model.head_weight.data[...] = 0.0
+        model.head_bias.data[:] = [0.3, -0.9]
+        logits = model.infer_logits(*one_row([2, 3]))
+        np.testing.assert_allclose(logits, [[0.3, -0.9]], atol=1e-15)
 
     def test_head_isolating_final_state(self):
-        st = EncoderState(
-            states=Tensor([[5.0, 7.0]]),
-            final_state=Tensor([[5.0, 7.0]]),
-            mask=np.ones(1, dtype=bool),
-            true_length=1,
-        )
-        attention_scores(st)
-        context_vector(st)
-        # rows 2,3 of the head weight see the final state; pick coordinates
-        w = np.zeros((4, 2))
-        w[2, 0] = 1.0
-        w[3, 1] = 1.0
-        logits = predict_logits(st, Parameter(w, "w"), Parameter(np.zeros(2), "b"))
-        np.testing.assert_allclose(logits.data, [[5.0, 7.0]], atol=1e-15)
+        model = tiny_model(seed=2)
+        ids, lengths = one_row([4, 5, 6])
+        # rows hidden..2*hidden of the head weight see the final state
+        w = np.zeros((8, 2))
+        w[4, 0] = 1.0
+        w[5, 1] = 1.0
+        model.head_weight.data[...] = w
+        model.head_bias.data[...] = 0.0
+        finals, _ = model.infer_states(ids, lengths)
+        np.testing.assert_allclose(model.infer_logits(ids, lengths), finals[:, :2], atol=1e-15)
 
 
 class TestEncodeSequence:
     def test_length_one_final_equals_single_row(self):
         model = tiny_model()
-        st = model.encode_example(example([3], 1))
-        assert st.states.data.shape == (1, 4)
-        np.testing.assert_array_equal(st.final_state.data, st.states.data)
-        np.testing.assert_allclose(st.attention.data, [[1.0]])
+        states, finals, contexts = model.batch_states(*one_row([3]))
+        assert states.data.shape == (1, 1, 4)
+        np.testing.assert_array_equal(finals.data, states.data[:, 0])
+        # the single position takes all of the attention
+        np.testing.assert_array_equal(contexts.data, finals.data)
 
     def test_padding_does_not_change_outputs(self):
         model = tiny_model(seed=3)
-        short = example([4, 5, 6], 3, max_len=3)
-        padded = example([4, 5, 6, 0, 0, 0], 3, max_len=6)
-        st_short = model.encode_example(short)
-        st_padded = model.encode_example(padded)
-        np.testing.assert_allclose(st_padded.final_state.data, st_short.final_state.data, atol=1e-12)
-        np.testing.assert_allclose(st_padded.attention.data, st_short.attention.data, atol=1e-12)
-        np.testing.assert_allclose(st_padded.context.data, st_short.context.data, atol=1e-12)
-        logits_short = model.infer_logits(short.token_ids[None, :], np.array([3]))
-        logits_padded = model.infer_logits(padded.token_ids[None, :], np.array([3]))
-        np.testing.assert_allclose(logits_padded, logits_short, atol=1e-12)
+        short = one_row([4, 5, 6], max_len=3)
+        padded = one_row([4, 5, 6], max_len=6)
+        finals, contexts = model.infer_states(*short)
+        _, graph_finals, graph_contexts = model.batch_states(*padded)
+        for got, want in zip(
+            (*model.infer_states(*padded), graph_finals.data, graph_contexts.data),
+            (finals, contexts, finals, contexts),
+        ):
+            np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_allclose(
+            model.infer_logits(*padded), model.infer_logits(*short), atol=1e-12
+        )
 
     def test_attention_zero_at_padded_positions(self):
-        model = tiny_model(seed=4)
-        st = model.encode_example(example([2, 3], 2))
-        padded = st.attention_padded()
-        assert padded.shape == (6,)
-        np.testing.assert_array_equal(padded[2:], 0.0)
-        assert padded[:2].sum() == pytest.approx(1.0, abs=1e-12)
+        gen = np.random.default_rng(4)
+        lengths = np.array([2, 5, 1])
+        # positive states keep ratio-mode score sums away from zero
+        states = gen.uniform(0.1, 1.0, size=(3, 5, 4))
+        finals = states[np.arange(3), lengths - 1]
+        garbage = states.copy()
+        for i, length in enumerate(lengths):
+            garbage[i, length:] = gen.uniform(-1e3, 1e3, size=(5 - length, 4))
+        for mode in ("softmax", "ratio"):
+            clean = attend(Tensor(states), Tensor(finals), lengths, mode).data
+            dirty = attend(Tensor(garbage), Tensor(finals), lengths, mode).data
+            assert dirty.tobytes() == clean.tobytes(), mode
 
     def test_empty_sequence_rejected(self):
         model = tiny_model()
+        ids, lengths = one_row([])
         with pytest.raises(DataError):
-            model.encode_example(example([], 0))
+            model.batch_states(ids, lengths)
+        with pytest.raises(DataError):
+            model.infer_states(ids, lengths)
 
     def test_zero_params_zero_final_state(self):
         model = tiny_model()
         for p in model.parameters():
             if p.name != "embedding":
                 p.data[...] = 0.0
-        st = model.encode_example(example([2, 3, 4], 3))
-        np.testing.assert_array_equal(st.final_state.data, 0.0)
+        ids, lengths = one_row([2, 3, 4])
+        np.testing.assert_array_equal(model.batch_states(ids, lengths)[1].data, 0.0)
+        np.testing.assert_array_equal(model.infer_states(ids, lengths)[0], 0.0)
 
 
 class TestBatchForward:

@@ -143,8 +143,6 @@ def per_example_contexts(states, finals, lengths, mode):
         st = EncoderState(
             states=states[i, :length],
             final_state=finals[i : i + 1],
-            mask=np.arange(states.data.shape[1]) < length,
-            true_length=int(length),
         )
         attention_scores(st, mode)
         out.append(context_vector(st))
@@ -247,8 +245,6 @@ def reference_logits(model, ids, lengths, masks):
         st = EncoderState(
             states=rows[0] if length == 1 else concat(rows, axis=0),
             final_state=by_time[length - 1][i : i + 1],
-            mask=np.arange(ids.shape[1]) < length,
-            true_length=int(length),
         )
         attention_scores(st, model.hp.attention_mode)
         contexts.append(context_vector(st))
@@ -271,7 +267,7 @@ def test_model_matches_per_step_composition(kind, mode, seed):
     ids = gen.integers(0, 15, size=(n, hp.max_len))
     lengths = random_lengths(gen, n, hp.max_len - 1)
     labels = np.array([0, 1, 1, 0, 1])
-    masks = model._placement_masks(n, RngStream(seed).child("masks"), train=True)
+    masks = model._placement_masks(n, RngStream(seed).child("masks"))
     assert (masks is None) == (kind == "base")
     params = model.parameters()
 

@@ -6,7 +6,7 @@ import pytest
 from urgentbayes.autodiff import RngStream
 from urgentbayes.encoder import BaseClassifier, HyperParams
 from urgentbayes.errors import ConfigurationError, UsageError
-from urgentbayes.mcd import McdClassifier, McdConfig, mcd_forward, mcd_predict
+from urgentbayes.mcd import McdClassifier, McdConfig
 
 
 def tiny_hp(**overrides):
@@ -41,10 +41,6 @@ class TestConfig:
     def test_sample_count(self):
         with pytest.raises(ConfigurationError):
             McdConfig(num_samples=0).validate()
-
-    def test_aggregate_mode(self):
-        with pytest.raises(ConfigurationError):
-            McdConfig(aggregate="mean_probs").validate()
 
     def test_defaults(self):
         cfg = McdConfig()
@@ -99,7 +95,7 @@ class TestStochasticForward:
 
     def test_training_masks_per_batch_element(self):
         _, mcd = make_pair(rate=0.5)
-        masks = mcd._placement_masks(6, RngStream(3), train=True)
+        masks = mcd._placement_masks(6, RngStream(3))
         assert masks[0].shape == (6, 4)
         assert masks[2].shape == (6, 8)
         # rows differ: each batch element gets its own mask
@@ -107,7 +103,7 @@ class TestStochasticForward:
 
     def test_mask_scaling(self):
         _, mcd = make_pair(rate=0.5)
-        masks = mcd._placement_masks(4, RngStream(3), train=True)
+        masks = mcd._placement_masks(4, RngStream(3))
         values = np.unique(masks[0])
         assert set(values).issubset({0.0, 2.0})
 
@@ -181,13 +177,12 @@ class TestPrediction:
         assert (var_100 < var_10).all()
 
     def test_example_level_wrappers(self):
-        from urgentbayes.corpus import LabeledExample
-
+        # a one-post batch, the shape the predict command scores
         _, mcd = make_pair(rate=0.3, num_samples=6)
-        ex = LabeledExample(np.array([2, 3, 0, 0, 0, 0]), 2, 1)
+        ids, lengths = np.array([[2, 3, 0, 0, 0, 0]]), np.array([2])
         rng = RngStream(31)
-        logits = mcd_forward(ex, mcd, rng, 0)
-        assert logits.shape == (2,)
-        dist = mcd_predict(ex, mcd, rng)
+        logits = mcd.sample_logits(ids, lengths, rng, 0)
+        assert logits.shape == (1, 2)
+        (dist,) = mcd.predict_batch(ids, lengths, rng)
         assert dist.per_sample_logits.shape == (6, 2)
-        np.testing.assert_array_equal(dist.per_sample_logits[0], logits)
+        np.testing.assert_array_equal(dist.per_sample_logits[0], logits[0])

@@ -80,7 +80,6 @@ class TestTrainConfig:
             dict(batch_size=0),
             dict(epochs=-1),
             dict(model_kind="rnn"),
-            dict(optimizer="sgd"),
             dict(gradient_clip_norm=0.0),
         ],
     )
@@ -396,6 +395,57 @@ class TestCheckpoint:
         data.params["head.weight"] = data.params["head.weight"][:, :1]
         with pytest.raises(CheckpointError, match="shape"):
             restore_model(data)
+
+    def test_legacy_header_loads_and_predicts_identically(self, tmp_path, edit_header):
+        # files written before num_layers, num_classes and aggregate were
+        # removed carry them, at their one legal value
+        def add_legacy_keys(header):
+            header["hyperparams"].update(num_layers=2, num_classes=2)
+            if header["mcd"] is not None:
+                header["mcd"]["aggregate"] = "mean_logits"
+
+        split = toy_split(n=4, seed=21)
+        ids = np.stack([ex.token_ids for ex in split])
+        lengths = np.array([ex.true_length for ex in split])
+        for kind in ("base", "mcd", "vi"):
+            model = tiny_model(kind, seed=21)
+            path = str(tmp_path / f"{kind}.ckpt")
+            save_checkpoint(path, model, ["<pad>", "<unk>"] + [f"t{i}" for i in range(18)])
+            edit_header(path, add_legacy_keys)
+            restored = restore_model(load_checkpoint(path))
+            for a, b in zip(
+                model.predict_batch(ids, lengths, RngStream(22)),
+                restored.predict_batch(ids, lengths, RngStream(22)),
+            ):
+                assert a.per_sample_logits.tobytes() == b.per_sample_logits.tobytes()
+                assert a.mean_probs.tobytes() == b.mean_probs.tobytes()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "model_kind", "xyz"),
+            (None, "vocab", 5),
+            ("hyperparams", "num_layers", 3),
+            ("hyperparams", "num_classes", 4),
+            ("hyperparams", "hidden_dim", 0),
+            ("hyperparams", "attention_mode", "linear"),
+            ("hyperparams", "unknown_field", 1),
+            ("mcd", "aggregate", "median"),
+            ("mcd", "dropout_rate", 1.5),
+            ("vi", "z_dim", 7),
+        ],
+    )
+    def test_bad_header_value_is_checkpoint_error(self, tmp_path, edit_header, section, key, value):
+        kind = section if section in ("mcd", "vi") else "mcd"
+        path = str(tmp_path / "h.ckpt")
+        save_checkpoint(path, tiny_model(kind, seed=23), ["<pad>", "<unk>"])
+
+        def set_value(header):
+            (header if section is None else header[section])[key] = value
+
+        edit_header(path, set_value)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
     def test_missing_block_on_restore(self, tmp_path):
         model = tiny_model(seed=20)

@@ -8,19 +8,16 @@ import pytest
 from scipy import integrate, stats
 
 from urgentbayes.autodiff import RngStream, Tensor, grad_check
-from urgentbayes.corpus import LabeledExample
 from urgentbayes.encoder import HyperParams
 from urgentbayes.errors import ConfigurationError, ShapeError, UsageError
 from urgentbayes.vi import (
     GaussianDiag,
     ViClassifier,
     ViConfig,
-    elbo_loss,
     init_vi_heads,
     kl_diag_gaussians,
     posterior_params,
     prior_params,
-    reconstruction_logits,
     reparameterize,
     _recon_logits,
 )
@@ -248,9 +245,8 @@ class TestReconstruction:
         model.heads.recon_weight.data[...] = 0.0
         model.heads.recon_bias.data[:] = [0.25, -0.75]
         z = Tensor(np.ones((1, 3)))
-        ex = LabeledExample(np.array([2, 3, 0, 0, 0, 0]), 2, 0)
-        state = model.encode_example(ex)
-        logits = reconstruction_logits(z, state, model.heads)
+        _, finals, contexts = model.batch_states(np.array([[2, 3, 0, 0, 0, 0]]), np.array([2]))
+        logits = _recon_logits(z, finals, contexts, model.heads)
         np.testing.assert_allclose(logits.data, [[0.25, -0.75]], atol=1e-15)
 
     def test_input_width_arithmetic(self):
@@ -259,41 +255,26 @@ class TestReconstruction:
         assert heads.recon_weight.data.shape == (16 + 2 * 128, 2)
         assert heads.post_hidden_weight.data.shape == (128 + 16, 128)
 
-    def test_missing_context_rejected(self):
-        from urgentbayes.encoder import EncoderState
-
-        model = tiny_vi(seed=17)
-        st = EncoderState(
-            states=Tensor(np.zeros((1, 4))),
-            final_state=Tensor(np.zeros((1, 4))),
-            mask=np.ones(1, dtype=bool),
-            true_length=1,
-        )
-        with pytest.raises(UsageError):
-            reconstruction_logits(Tensor(np.zeros((1, 3))), st, model.heads)
-
 
 class TestElbo:
-    def _encoded(self, model, label=1):
-        ex = LabeledExample(np.array([2, 3, 4, 0, 0, 0]), 3, label)
-        return model.encode_example(ex), ex
+    IDS, LENGTHS = np.array([[2, 3, 4, 0, 0, 0]]), np.array([3])
 
     def test_sigma_to_zero_limit_reduces_to_cross_entropy(self):
         # build a posterior with microscopic sigma by hand: the single-draw
         # loss must collapse onto the deterministic loss through z = mu
         model = tiny_vi(seed=18)
-        state, ex = self._encoded(model)
-        labels = np.array([ex.label])
+        _, finals, contexts = model.batch_states(self.IDS, self.LENGTHS)
+        labels = np.array([1])
         q = GaussianDiag(Tensor([[0.4, -0.3, 0.1]]), Tensor([[-30.0, -30.0, -30.0]]))
         eps = RngStream(19).child("eps").generator().standard_normal((1, 3))
         z = reparameterize(q, eps)
         from urgentbayes.autodiff import cross_entropy_from_logits
 
         stochastic = cross_entropy_from_logits(
-            _recon_logits(z, state.final_state, state.context, model.heads), labels
+            _recon_logits(z, finals, contexts, model.heads), labels
         ).item()
         deterministic = cross_entropy_from_logits(
-            _recon_logits(q.mu, state.final_state, state.context, model.heads), labels
+            _recon_logits(q.mu, finals, contexts, model.heads), labels
         ).item()
         assert stochastic == pytest.approx(deterministic, abs=1e-9)
 
@@ -316,14 +297,28 @@ class TestElbo:
         np.testing.assert_allclose(kl_diag_gaussians(q, p).data, 0.0, atol=1e-12)
 
     def test_single_example_elbo_matches_batch(self):
+        # a one-row batch's loss against the ELBO evaluated in NumPy on its
+        # encoder outputs, with the same single draw of eps
         model = tiny_vi(seed=22)
-        state, ex = self._encoded(model, label=1)
+        label = 1
         rng = RngStream(23)
-        single = elbo_loss(state, ex.label, model.heads, model.cfg, rng).item()
-        batch = model.batch_loss(
-            ex.token_ids[None, :], np.array([ex.true_length]), np.array([ex.label]), rng
-        ).item()
-        assert single == pytest.approx(batch, rel=1e-12)
+        loss = model.batch_loss(self.IDS, self.LENGTHS, np.array([label]), rng).item()
+        _, finals, contexts = model.batch_states(self.IDS, self.LENGTHS)
+        q = posterior_params(finals, [label], model.heads)
+        p = prior_params(finals, model.heads)
+        mu_q, ls_q = q.mu.data[0], q.log_sigma.data[0]
+        mu_p, ls_p = p.mu.data[0], p.log_sigma.data[0]
+        eps = rng.child("eps", 0).generator().standard_normal((1, 3))[0]
+        z = mu_q + np.exp(ls_q) * eps
+        logits = (
+            np.concatenate([z, finals.data[0], contexts.data[0]]) @ model.heads.recon_weight.data
+            + model.heads.recon_bias.data
+        )
+        cross_entropy = np.logaddexp(logits[0], logits[1]) - logits[label]
+        kl = np.sum(
+            ls_p - ls_q + (np.exp(2 * ls_q) + (mu_q - mu_p) ** 2) / (2 * np.exp(2 * ls_p)) - 0.5
+        )
+        assert loss == pytest.approx(cross_entropy + model.cfg.kl_weight * kl, rel=1e-12)
 
     def test_estimator_unbiased_in_m(self):
         model = tiny_vi(seed=24)
@@ -374,15 +369,25 @@ class TestElbo:
 
 class TestViPrediction:
     def test_never_reads_label(self):
+        # the label enters only through the posterior tower; prediction
+        # must not change when that tower's weights do
         model = tiny_vi(seed=31)
         rng = RngStream(32)
-        ids = np.array([2, 3, 4, 0, 0, 0])
-        from urgentbayes.vi import vi_predict
-
-        a = vi_predict(LabeledExample(ids, 3, 0), model, rng)
-        b = vi_predict(LabeledExample(ids, 3, 1), model, rng)
-        assert a.mean_logits.tobytes() == b.mean_logits.tobytes()
-        assert a.per_sample_logits.tobytes() == b.per_sample_logits.tobytes()
+        ids, lengths = np.array([[2, 3, 4, 0, 0, 0], [5, 0, 0, 0, 0, 0]]), np.array([3, 1])
+        before = model.predict_batch(ids, lengths, rng)
+        deterministic = model.infer_logits(ids, lengths)
+        heads = model.heads
+        gen = np.random.default_rng(33)
+        for p in (heads.label_weight, heads.label_bias,
+                  heads.post_hidden_weight, heads.post_hidden_bias,
+                  heads.post_mu_weight, heads.post_mu_bias,
+                  heads.post_log_sigma_weight, heads.post_log_sigma_bias):
+            p.data += gen.normal(size=p.data.shape)
+        after = model.predict_batch(ids, lengths, rng)
+        for a, b in zip(before, after):
+            assert a.mean_logits.tobytes() == b.mean_logits.tobytes()
+            assert a.per_sample_logits.tobytes() == b.per_sample_logits.tobytes()
+        assert model.infer_logits(ids, lengths).tobytes() == deterministic.tobytes()
 
     def test_sample_count(self):
         model = tiny_vi(seed=33)
