@@ -21,6 +21,8 @@ from .corpus import Vocabulary
 from .encoder import MODEL_KINDS, BaseClassifier, HyperParams
 from .errors import CheckpointError, ConfigurationError
 from .mcd import McdConfig
+from .metrics import NUM_CLASSES
+from .training import build_model
 from .vi import ViConfig
 
 MAGIC = b"URGENTBAYES-CKPT\n"
@@ -45,11 +47,7 @@ class CheckpointData:
 
     def vocabulary(self) -> Vocabulary:
         token_to_id = {tok: i for i, tok in enumerate(self.vocab_tokens)}
-        return Vocabulary(
-            token_to_id=token_to_id,
-            id_to_token=list(self.vocab_tokens),
-            min_frequency=1,
-        )
+        return Vocabulary(token_to_id=token_to_id, id_to_token=list(self.vocab_tokens))
 
 
 def _write_block(out, name: str, array: np.ndarray) -> None:
@@ -175,6 +173,14 @@ def load_checkpoint(path: str) -> CheckpointData:
             raise ConfigurationError("vocab must be a list of token strings")
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad header fields: {exc}") from exc
+    if header["model_kind"] == "vi":
+        # older vi files carry the base head, which vi built and never
+        # trained; they still load, with its blocks at their old shapes only
+        old_head = {"head.weight": (2 * hp.hidden_dim, NUM_CLASSES), "head.bias": (NUM_CLASSES,)}
+        for name, shape in old_head.items():
+            stored = params.pop(name, None)
+            if stored is not None and stored.shape != shape:
+                raise CheckpointError(f"{path}: legacy block {name!r} has shape {stored.shape}")
     return CheckpointData(
         model_kind=header["model_kind"],
         hyperparams=hp,
@@ -187,8 +193,6 @@ def load_checkpoint(path: str) -> CheckpointData:
 
 def restore_model(data: CheckpointData) -> BaseClassifier:
     """Rebuild a model from checkpoint data, verifying every block."""
-    from .training import build_model
-
     vocab_size = len(data.vocab_tokens)
     placeholder = np.zeros((vocab_size, data.hyperparams.embed_dim))
     model = build_model(

@@ -59,9 +59,8 @@ class Vocabulary:
 
     token_to_id: dict
     id_to_token: list
-    min_frequency: int
-    pad_id: int = 0
-    unk_id: int = 1
+    pad_id = 0
+    unk_id = 1
 
     def __len__(self):
         return len(self.id_to_token)
@@ -85,7 +84,7 @@ def build_vocabulary(corpus, min_frequency=2):
     retained.sort(key=lambda t: (-freq[t], t))
     id_to_token = [PAD_TOKEN, UNK_TOKEN] + retained
     token_to_id = {t: i for i, t in enumerate(id_to_token)}
-    return Vocabulary(token_to_id, id_to_token, min_frequency)
+    return Vocabulary(token_to_id, id_to_token)
 
 
 def save_vocabulary(vocab, path):
@@ -109,9 +108,7 @@ def load_vocabulary(path):
     token_to_id = {t: i for i, t in enumerate(id_to_token)}
     if len(token_to_id) != len(id_to_token):
         raise FormatError(f"{path}: duplicate token in vocabulary file")
-    # the cutoff used at build time is not stored in the file; 1 is the
-    # weakest claim consistent with any retained token
-    return Vocabulary(token_to_id, id_to_token, min_frequency=1)
+    return Vocabulary(token_to_id, id_to_token)
 
 
 @dataclass

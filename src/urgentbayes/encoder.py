@@ -8,7 +8,9 @@ hand-written backpropagation-through-time backward), and attention is a
 single length-masked op over the `(n, T, hidden)` states (`attend`).
 Training records them on the autodiff tape; prediction runs the same ops
 under `no_grad`, so the zero-dropout Bayesian variant agrees with the
-deterministic model bit for bit by construction.
+deterministic model bit for bit by construction.  Only the head
+(`_build_head`, `_head`) differs by kind; vi's is its reconstruction
+head with the latent code at the prior mean.
 
 The single-example `lstm_step`, `attention_scores` and `context_vector`
 are the step-by-step reference the fused ops are tested against.
@@ -362,17 +364,24 @@ class BaseClassifier:
         self.embedding = Parameter(matrix.copy(), "embedding")
         self.layer1 = init_lstm_layer(hp.embed_dim, h, init.child("layer1"), "layer1")
         self.layer2 = init_lstm_layer(h, h, init.child("layer2"), "layer2")
+        self._head_params = self._build_head(init)
+
+    def _build_head(self, init):
+        """Builds the kind-specific head from the `init` stream and returns
+        its parameters: here the affine head on (context ⊕ final state)."""
+        h = self.hp.hidden_dim
         self.head_weight = Parameter(
             _uniform_init(init.child("head"), (2 * h, NUM_CLASSES), 2 * h), "head.weight"
         )
         self.head_bias = Parameter(np.zeros(NUM_CLASSES), "head.bias")
+        return [self.head_weight, self.head_bias]
 
     def parameters(self):
         return (
             [self.embedding]
             + self.layer1.parameters()
             + self.layer2.parameters()
-            + [self.head_weight, self.head_bias]
+            + self._head_params
         )
 
     # -- dropout hooks (overridden by the Monte Carlo variant) ----------
@@ -421,13 +430,10 @@ class BaseClassifier:
         _, finals, contexts = self.batch_states(ids, lengths, masks)
         return self._head(finals, contexts, masks)
 
-    def batch_loss(self, ids, lengths, labels, rng=None):
-        masks = self._placement_masks(len(labels), rng)
-        return cross_entropy_from_logits(self.batch_logits(ids, lengths, masks), labels)
-
     def batch_loss_parts(self, ids, lengths, labels, rng=None):
         """Loss tensor plus named scalar components for the loss trace."""
-        loss = self.batch_loss(ids, lengths, labels, rng)
+        masks = self._placement_masks(len(labels), rng)
+        loss = cross_entropy_from_logits(self.batch_logits(ids, lengths, masks), labels)
         return loss, {"cross_entropy": loss.item()}
 
     def infer_states(self, ids, lengths, masks=None):

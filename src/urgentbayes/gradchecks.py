@@ -36,7 +36,6 @@ from .autodiff import (
 from .encoder import HyperParams, attend, init_lstm_layer, lstm_layer
 from .errors import ConfigurationError
 from .training import build_model
-from .vi import ViConfig
 
 END_TO_END_HP = dict(max_len=6, embed_dim=5, hidden_dim=8, z_dim=4)
 END_TO_END_VOCAB = 20
@@ -129,7 +128,7 @@ def _end_to_end_model(kind: str, seed: int):
         .generator()
         .uniform(-0.5, 0.5, (END_TO_END_VOCAB, hp.embed_dim))
     )
-    return build_model(hp, emb, kind, seed, vi_cfg=ViConfig(z_dim=hp.z_dim))
+    return build_model(hp, emb, kind, seed)
 
 
 def end_to_end_checks(seed: int | None = None) -> list[NamedCheck]:
@@ -142,7 +141,7 @@ def end_to_end_checks(seed: int | None = None) -> list[NamedCheck]:
         model = _end_to_end_model(kind, kind_seed)
         rng = RngStream(kind_seed + 1000)
         report = grad_check(
-            lambda: model.batch_loss(ids, lengths, labels, rng),
+            lambda: model.batch_loss_parts(ids, lengths, labels, rng)[0],
             model.parameters(),
         )
         out.append(NamedCheck(f"end_to_end_{kind}_loss", report))

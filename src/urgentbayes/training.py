@@ -69,9 +69,6 @@ def adaptive_moment_step(
     params: list[Parameter],
     state: AdaptiveMomentState,
     learning_rate: float,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    epsilon: float = ADAM_EPSILON,
 ) -> None:
     """One bias-corrected adaptive moment update, in place."""
     if len(params) != len(state.first):
@@ -80,13 +77,13 @@ def adaptive_moment_step(
     t = state.step_count
     for p, m, v in zip(params, state.first, state.second):
         g = p.grad
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p.data -= learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        p.data -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 def clip_gradient_norm(params: list[Parameter], max_norm: float) -> float:
@@ -131,6 +128,10 @@ def train(
     cfg: TrainConfig,
 ) -> TrainResult:
     cfg.validate()
+    if cfg.model_kind != model.kind:
+        raise ConfigurationError(
+            f"model_kind {cfg.model_kind!r} does not match the {model.kind!r} model"
+        )
     if not examples:
         raise DataError("training split is empty")
     labels_present = {ex.label for ex in examples}
@@ -205,8 +206,6 @@ def build_model(
     if model_kind == "mcd":
         return McdClassifier(hp, embedding_matrix, rng, mcd_cfg)
     if model_kind == "vi":
-        if vi_cfg is None:
-            vi_cfg = ViConfig(z_dim=hp.z_dim)
         return ViClassifier(hp, embedding_matrix, rng, vi_cfg)
     raise ConfigurationError(f"unknown model kind {model_kind!r}")
 

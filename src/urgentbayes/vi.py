@@ -3,7 +3,8 @@ and a conditional prior p(z|x) over a latent code z, both diagonal
 Gaussians computed from the encoder's final state.  Training minimizes
 reconstruction cross-entropy (through a reparameterized sample from q)
 plus the closed-form KL between q and p; prediction samples z from the
-prior only, so labels never influence test-time output."""
+prior only, so labels never influence test-time output.  The
+deterministic forward is the shared one; its `_head` pins z at the prior mean."""
 
 from __future__ import annotations
 
@@ -197,10 +198,14 @@ class ViClassifier(BaseClassifier):
                 f"latent size disagreement: heads built for {hp.z_dim}, config says {cfg.z_dim}"
             )
         self.cfg = cfg
-        self.heads = init_vi_heads(hp.hidden_dim, hp.z_dim, rng.child("init", "heads"))
 
-    def parameters(self):
-        return super().parameters() + self.heads.parameters()
+    def _build_head(self, init):
+        self.heads = init_vi_heads(self.hp.hidden_dim, self.hp.z_dim, init.child("heads"))
+        return self.heads.parameters()
+
+    def _head(self, finals, contexts, masks):
+        """Deterministic forward: the latent code pinned at the prior mean."""
+        return _recon_logits(prior_params(finals, self.heads).mu, finals, contexts, self.heads)
 
     def batch_loss_parts(self, ids, lengths, labels, rng=None):
         if rng is None:
@@ -209,19 +214,12 @@ class ViClassifier(BaseClassifier):
         loss, recon, kl = _elbo_parts(finals, contexts, labels, self.heads, self.cfg, rng)
         return loss, {"reconstruction": recon.item(), "kl": kl.item()}
 
-    def batch_loss(self, ids, lengths, labels, rng=None):
-        return self.batch_loss_parts(ids, lengths, labels, rng)[0]
-
     # -- prediction: the prior tower and reconstruction head under no_grad --
 
     def infer_logits(self, ids, lengths, masks=None):
-        """Deterministic forward: the latent code pinned at the prior mean."""
         if masks is not None:
             raise UsageError("the variational path has no dropout placements")
-        finals, contexts = (Tensor(a) for a in self.infer_states(ids, lengths))
-        with no_grad():
-            mu = prior_params(finals, self.heads).mu
-            return _recon_logits(mu, finals, contexts, self.heads).data
+        return super().infer_logits(ids, lengths)
 
     def predict_batch(self, ids, lengths, rng=None):
         """Sample m_test latent codes from the conditional prior; labels

@@ -302,6 +302,28 @@ class TestPredict:
         assert code == 2
         assert key in err and f"got {value!r}" in err
 
+    def test_legacy_block_at_other_shape_is_data_error(
+        self, vi_checkpoint, tmp_path, capsys, edit_blocks
+    ):
+        bad = tmp_path / "legacy.ckpt"
+        bad.write_bytes(open(vi_checkpoint, "rb").read())
+        edit_blocks(str(bad), lambda blocks: blocks.append(("head.bias", np.zeros(3))))
+        code, _, err = run_cli(capsys, ["predict", "--checkpoint", str(bad), "--text", "the quiz"])
+        assert code == 2
+        assert "legacy block 'head.bias'" in err
+
+    def test_missing_head_is_data_error(self, mcd_checkpoint, tmp_path, capsys, edit_blocks):
+        bad = tmp_path / "headless.ckpt"
+        bad.write_bytes(open(mcd_checkpoint, "rb").read())
+
+        def drop_head(blocks):
+            blocks[:] = [(name, a) for name, a in blocks if not name.startswith("head.")]
+
+        edit_blocks(str(bad), drop_head)
+        code, _, err = run_cli(capsys, ["predict", "--checkpoint", str(bad), "--text", "the quiz"])
+        assert code == 2
+        assert "missing ['head.bias', 'head.weight']" in err
+
 
 class TestGradcheck:
     def test_exit_codes_and_tally(self, monkeypatch, capsys):

@@ -312,7 +312,7 @@ class TestBatchForward:
         labels = np.array([0, 1])
 
         def loss():
-            return model.batch_loss(ids, lengths, labels)
+            return model.batch_loss_parts(ids, lengths, labels)[0]
 
         report = grad_check(loss, model.parameters())
         assert report.passed, report.summary()
@@ -322,7 +322,9 @@ class TestBatchForward:
         ids = np.array([[2, 3, 4, 0], [5, 6, 7, 0]])
         lengths = np.array([3, 3])
         labels = np.array([1, 0])
-        report = grad_check(lambda: model.batch_loss(ids, lengths, labels), model.parameters())
+        report = grad_check(
+            lambda: model.batch_loss_parts(ids, lengths, labels)[0], model.parameters()
+        )
         assert report.passed, report.summary()
 
     def test_same_seed_same_model(self):

@@ -91,7 +91,7 @@ class TestStochasticForward:
         _, mcd = make_pair(rate=0.5)
         ids, lengths = batch()
         with pytest.raises(UsageError):
-            mcd.batch_loss(ids, lengths, np.zeros(len(ids), dtype=int))
+            mcd.batch_loss_parts(ids, lengths, np.zeros(len(ids), dtype=int))
 
     def test_training_masks_per_batch_element(self):
         _, mcd = make_pair(rate=0.5)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from urgentbayes.autodiff import Parameter, RngStream
+from urgentbayes.autodiff import Parameter, RngStream, backward
 from urgentbayes.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -188,6 +188,15 @@ class TestTrainLoop:
         result = train(model, toy_split(), TrainConfig(epochs=2, batch_size=6, model_kind="mcd"))
         assert len(result.loss_trace) == 2
 
+    @pytest.mark.parametrize("kind, cfg_kind", [("base", "vi"), ("mcd", "base"), ("vi", "mcd")])
+    def test_model_kind_must_match_model(self, kind, cfg_kind):
+        model = tiny_model(kind)
+        before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(ConfigurationError, match="model_kind"):
+            train(model, toy_split(), TrainConfig(epochs=1, model_kind=cfg_kind))
+        for p, b in zip(model.parameters(), before):
+            assert p.data.tobytes() == b.tobytes()
+
     def test_rejects_empty_and_single_class(self):
         model = tiny_model()
         with pytest.raises(DataError):
@@ -313,6 +322,33 @@ class TestBuildModel:
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
             build_model(tiny_hp(), np.zeros((5, 5)), "gru", 0)
+
+    def test_parameter_names_and_order(self):
+        trunk = ["embedding"] + [
+            f"{layer}.{part}"
+            for layer in ("layer1", "layer2")
+            for part in ("input_weights", "recurrent_weights", "bias")
+        ]
+        for kind in ("base", "mcd"):
+            names = [p.name for p in tiny_model(kind).parameters()]
+            assert names == trunk + ["head.weight", "head.bias"]
+        names = [p.name for p in tiny_model("vi").parameters()]
+        assert names[: len(trunk)] == trunk
+        assert names[len(trunk) :] == [p.name for p in tiny_model("vi").heads.parameters()]
+        assert not any(name.startswith("head.") for name in names)
+
+    @pytest.mark.parametrize("kind", ["base", "mcd", "vi"])
+    def test_every_parameter_gets_a_gradient(self, kind):
+        # a parameter no loss reaches is clipped, stepped and saved for nothing
+        model = tiny_model(kind, seed=5)
+        ids = np.array([[2, 3, 4, 5, 6, 7], [8, 9, 10, 0, 0, 0], [11, 0, 0, 0, 0, 0]])
+        lengths, labels = np.array([6, 3, 1]), np.array([1, 0, 1])
+        loss, _ = model.batch_loss_parts(ids, lengths, labels, RngStream(6))
+        for p in model.parameters():
+            p.zero_grad()
+        backward(loss)
+        dead = [p.name for p in model.parameters() if not np.any(p.grad)]
+        assert dead == []
 
 
 class TestCheckpoint:
@@ -445,6 +481,46 @@ class TestCheckpoint:
 
         edit_header(path, set_value)
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_legacy_vi_head_blocks_load_and_predict_identically(self, tmp_path, edit_blocks):
+        # vi files written while the model still built the base head carry
+        # its two blocks after layer2's, at the values a base model of the
+        # same seed holds
+        model = tiny_model("vi", seed=24)
+        legacy = {p.name: p.data for p in tiny_model("base", seed=24).parameters()}
+        path = str(tmp_path / "vi.ckpt")
+        save_checkpoint(path, model, ["<pad>", "<unk>"] + [f"t{i}" for i in range(18)])
+
+        def add_head(blocks):
+            at = [name for name, _ in blocks].index("layer2.bias") + 1
+            blocks[at:at] = [(name, legacy[name]) for name in ("head.weight", "head.bias")]
+
+        edit_blocks(path, add_head)
+        assert open(path, "rb").read().count(b"head.weight") == 1
+        restored = restore_model(load_checkpoint(path))
+        split = toy_split(n=4, seed=24)
+        ids = np.stack([ex.token_ids for ex in split])
+        lengths = np.array([ex.true_length for ex in split])
+        expected = model.infer_logits(ids, lengths)
+        assert restored.infer_logits(ids, lengths).tobytes() == expected.tobytes()
+        for a, b in zip(
+            model.predict_batch(ids, lengths, RngStream(25)),
+            restored.predict_batch(ids, lengths, RngStream(25)),
+        ):
+            assert a.per_sample_logits.tobytes() == b.per_sample_logits.tobytes()
+            assert a.mean_probs.tobytes() == b.mean_probs.tobytes()
+
+    @pytest.mark.parametrize(
+        "name, shape", [("head.weight", (8, 3)), ("head.weight", (2, 8)), ("head.bias", (3,))]
+    )
+    def test_legacy_block_at_other_shape_is_checkpoint_error(
+        self, tmp_path, edit_blocks, name, shape
+    ):
+        path = str(tmp_path / "vi.ckpt")
+        save_checkpoint(path, tiny_model("vi", seed=26), ["<pad>", "<unk>"])
+        edit_blocks(path, lambda blocks: blocks.append((name, np.zeros(shape))))
+        with pytest.raises(CheckpointError, match="legacy block"):
             load_checkpoint(path)
 
     def test_missing_block_on_restore(self, tmp_path):

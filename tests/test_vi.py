@@ -302,7 +302,7 @@ class TestElbo:
         model = tiny_vi(seed=22)
         label = 1
         rng = RngStream(23)
-        loss = model.batch_loss(self.IDS, self.LENGTHS, np.array([label]), rng).item()
+        loss = model.batch_loss_parts(self.IDS, self.LENGTHS, np.array([label]), rng)[0].item()
         _, finals, contexts = model.batch_states(self.IDS, self.LENGTHS)
         q = posterior_params(finals, [label], model.heads)
         p = prior_params(finals, model.heads)
@@ -349,7 +349,7 @@ class TestElbo:
         labels = np.array([1, 0])
         rng = RngStream(110)
         report = grad_check(
-            lambda: model.batch_loss(ids, lengths, labels, rng), model.parameters()
+            lambda: model.batch_loss_parts(ids, lengths, labels, rng)[0], model.parameters()
         )
         assert report.passed, report.summary()
 
@@ -364,7 +364,7 @@ class TestElbo:
     def test_loss_requires_stream(self):
         model = tiny_vi(seed=30)
         with pytest.raises(UsageError):
-            model.batch_loss(np.array([[2, 0, 0, 0, 0, 0]]), np.array([1]), np.array([0]))
+            model.batch_loss_parts(np.array([[2, 0, 0, 0, 0, 0]]), np.array([1]), np.array([0]))
 
 
 class TestViPrediction:
@@ -420,6 +420,14 @@ class TestViPrediction:
         np.testing.assert_array_equal(model.infer_logits(ids, lengths), expected)
         with pytest.raises(UsageError):
             model.infer_logits(ids, lengths, masks={})
+
+    def test_one_forward_for_training_and_prediction(self):
+        # the recorded forward and the no_grad one are the same ops
+        model = tiny_vi(seed=58)
+        ids, lengths = np.array([[2, 3, 4, 5, 6, 7], [8, 9, 0, 0, 0, 0]]), np.array([6, 2])
+        graph = model.batch_logits(ids, lengths)
+        assert graph.requires_grad
+        assert graph.data.tobytes() == model.infer_logits(ids, lengths).tobytes()
 
     def test_small_m_within_3se_of_large_m(self):
         model = tiny_vi(seed=39)
