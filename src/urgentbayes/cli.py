@@ -241,6 +241,7 @@ def cmd_predict(args) -> int:
         "entropy": dist.entropy,
         "model_kind": model.kind,
         "num_samples": dist.per_sample_logits.shape[0],
+        "mc_standard_error": dist.mc_standard_error._asdict(),
     }
     if args.show_samples:
         record["per_sample_logits"] = dist.per_sample_logits.tolist()

@@ -8,7 +8,9 @@ hand-written backpropagation-through-time backward), and attention is a
 single length-masked op over the `(n, T, hidden)` states (`attend`).
 Training records them on the autodiff tape; prediction runs the same ops
 under `no_grad`, so the zero-dropout Bayesian variant agrees with the
-deterministic model bit for bit by construction.  Only the head
+deterministic model bit for bit by construction.  Prediction can stack
+several dropout samples of one batch: layer 1 then runs once, and layer
+2, attention and the head run over blocks of samples (`infer_states`).  Only the head
 (`_build_head`, `_head`) differs by kind; vi's is its reconstruction
 head with the latent code at the prior mean.
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,7 +129,7 @@ def lstm_step(params, h_prev, c_prev, x):
     return h, c
 
 
-def lstm_layer(params, x):
+def lstm_layer(params, x, out=None):
     """Runs one layer from zero state over a padded (n, T, input_dim) batch
     and returns its hidden states, (n, T, hidden).
 
@@ -134,7 +137,11 @@ def lstm_layer(params, x):
     timesteps, and the recurrence follows `lstm_step`'s gate order and
     arithmetic.  Gate activations and cell states are kept only when a
     gradient can flow; the backward is hand-written backpropagation
-    through time."""
+    through time.
+
+    Without a gradient the states may be written into `out`, an (n, T,
+    hidden) array that may be x's own: each block of inputs is projected
+    before any of its positions is overwritten."""
     wx, wh, bias = params.input_weights, params.recurrent_weights, params.bias
     if x.data.ndim != 3 or x.data.shape[2] != wx.data.shape[0]:
         raise ShapeError(
@@ -146,7 +153,9 @@ def lstm_layer(params, x):
     # a large prediction batch never holds an (n, T, 4*hidden) temporary
     block = max(1, PROJECTION_BLOCK_BYTES // (n * 4 * hd * 8))
     keep = is_recording((x, wx, wh, bias))
-    states = np.empty((n, steps, hd))
+    if out is not None and keep:
+        raise UsageError("lstm_layer writes into `out` only when no gradient is recorded")
+    states = np.empty((n, steps, hd)) if out is None else out
     gates = np.empty((n, steps, 4 * hd)) if keep else None   # activated i, f, g, o
     cells = np.empty((n, steps, hd)) if keep else None
     h = np.zeros((n, hd))
@@ -304,6 +313,20 @@ def attend(states, finals, lengths, mode="softmax"):
     return out
 
 
+class MonteCarloError(NamedTuple):
+    """Monte Carlo standard errors of an average over M stochastic passes,
+    by the delta method on the mean logit difference d = l1 - l0: the
+    error of p = mean_probs[1] (mean_probs[0] has the same) is
+    p (1 - p) sd(d) / sqrt(M), and the entropy's is |ln((1 - p) / p)|
+    times that.  Both are 0 for one pass or identical passes."""
+
+    mean_probs: float
+    entropy: float
+
+
+NO_MC_ERROR = MonteCarloError(0.0, 0.0)
+
+
 @dataclass
 class PredictiveDistribution:
     """Aggregate of one-or-more stochastic forward passes on one example."""
@@ -313,18 +336,33 @@ class PredictiveDistribution:
     per_sample_logits: np.ndarray  # (M, 2)
     entropy: float
     predicted_label: int
+    mc_standard_error: MonteCarloError = NO_MC_ERROR
+
+
+def _mc_standard_error(samples, mean_logits, p):
+    """The delta-method errors of `MonteCarloError` for (M, 2) samples
+    with the given mean logits, whose probability of class 1 is p."""
+    m, p = samples.shape[0], float(p)
+    dev = samples[:, 1] - samples[:, 0]
+    dev -= mean_logits[1] - mean_logits[0]
+    se_p = p * (1.0 - p) * math.sqrt(float(dev @ dev) / (m - 1) / m)
+    if se_p == 0.0:
+        return NO_MC_ERROR
+    return MonteCarloError(se_p, abs(math.log((1.0 - p) / p)) * se_p)
 
 
 def aggregate_logit_samples(per_sample_logits):
     """Average logits over samples (compensated summation, so the result
-    is independent of sample order), then softmax, entropy, argmax.
+    is independent of sample order), then softmax, entropy, argmax and
+    the Monte Carlo standard error.
 
     Ties at argmax resolve to label 0."""
     samples = np.asarray(per_sample_logits, dtype=np.float64)
     if samples.ndim != 2:
         raise ShapeError(f"expected an (M, {NUM_CLASSES}) array of logits")
     m = samples.shape[0]
-    if (samples == samples[0]).all():
+    identical = (samples == samples[0]).all()
+    if identical:
         # the exact mean of identical rows is the row itself; fsum/m would
         # round twice and can land 1 ulp off
         mean_logits = samples[0].copy()
@@ -333,12 +371,14 @@ def aggregate_logit_samples(per_sample_logits):
     shifted = mean_logits - mean_logits.max()
     e = np.exp(shifted)
     mean_probs = e / e.sum()
+    error = NO_MC_ERROR if identical else _mc_standard_error(samples, mean_logits, mean_probs[1])
     return PredictiveDistribution(
         mean_probs=mean_probs,
         mean_logits=mean_logits,
         per_sample_logits=samples,
         entropy=predictive_entropy(mean_probs),
         predicted_label=int(np.argmax(mean_probs)),
+        mc_standard_error=error,
     )
 
 
@@ -392,20 +432,25 @@ class BaseClassifier:
 
     # -- forward ------------------------------------------------------------
 
+    def _embed(self, ids, lengths):
+        """Checks a batch and gathers its embeddings up to its longest row:
+        (n, T, embed_dim) with T = lengths.max()."""
+        ids = np.asarray(ids)
+        if (lengths < 1).any():
+            raise DataError("cannot encode an empty sequence (true_length = 0)")
+        steps = int(lengths.max())
+        if ids.shape[1] < steps:
+            raise ShapeError("token id rows shorter than stated true lengths")
+        return gather_rows(self.embedding, ids[:, :steps])
+
     def _encode(self, ids, lengths, masks):
         """Runs the recurrent stack over a batch padded to its longest row:
         returns the top layer's states, (n, T, hidden) with T =
         lengths.max(), and each row's state at its last real token,
         (n, hidden).  Dropout masks are (rows, hidden) and shared across
         timesteps."""
-        ids = np.asarray(ids)
         lengths = np.asarray(lengths)
-        if (lengths < 1).any():
-            raise DataError("cannot encode an empty sequence (true_length = 0)")
-        steps = int(lengths.max())
-        if ids.shape[1] < steps:
-            raise ShapeError("token id rows shorter than stated true lengths")
-        hidden = lstm_layer(self.layer1, gather_rows(self.embedding, ids[:, :steps]))
+        hidden = lstm_layer(self.layer1, self._embed(ids, lengths))
         if masks is not None:
             hidden = hidden * masks[AFTER_LAYER_1][:, None, :]
         states = lstm_layer(self.layer2, hidden)
@@ -436,18 +481,72 @@ class BaseClassifier:
         loss = cross_entropy_from_logits(self.batch_logits(ids, lengths, masks), labels)
         return loss, {"cross_entropy": loss.item()}
 
-    def infer_states(self, ids, lengths, masks=None):
-        """The graph encoder under `no_grad`: returns (finals, contexts) as
-        (n, hidden) arrays."""
+    def infer_states(self, ids, lengths, masks=None, logits=False):
+        """The encoder under `no_grad`: returns (finals, contexts) as
+        (rows, hidden) arrays, or with `logits` the head's (rows, 2) logits.
+
+        Masks may stack s samples of a batch of n posts: each one reshapes
+        to (s, n, width), sample-major, and the results have s*n rows,
+        sample k's posts at rows k*n to (k+1)*n - 1.  Layer 1 runs once,
+        since no mask reaches its input; layer 2 and attention run over
+        blocks of c samples, c*n rows at a time, with c as large as keeps a
+        block's (c*n, T, hidden) states within PROJECTION_BLOCK_BYTES.  With
+        `logits` the head runs on each block before the next one starts, so
+        a stacked batch never holds every sample's states.  Each mask
+        multiplies the same values as in the graph forward, and in a batch
+        of two or more posts every sample's rows equal the graph forward
+        under that sample's masks bit for bit; a one-post batch can differ
+        in the last bit, as its stacked products take another BLAS kernel."""
+        lengths = np.asarray(lengths)
+        n = len(lengths)
         with no_grad():
-            states, finals = self._encode(ids, lengths, masks)
-            contexts = attend(states, finals, lengths, self.hp.attention_mode)
-        return finals.data, contexts.data
+            lower = lstm_layer(self.layer1, self._embed(ids, lengths)).data
+            _, steps, h = lower.shape
+            stacked = {} if masks is None else {
+                p: m.reshape(-1, n, 1, m.shape[-1]) for p, m in masks.items()
+            }
+            samples = len(stacked[AFTER_LAYER_1]) if stacked else 1
+            c = min(samples, max(1, PROJECTION_BLOCK_BYTES // (n * steps * h * 8)))
+            # one buffer holds each block's masked layer-2 input, and then
+            # its layer-2 states; unmasked, layer 1's states are overwritten
+            block_states = np.empty((c, n, steps, h)) if stacked else lower[None]
+            if logits:
+                out = np.empty((samples * n, NUM_CLASSES))
+            else:
+                finals_out, contexts_out = np.empty((samples * n, h)), np.empty((samples * n, h))
+            for k in range(0, samples, c):
+                b = min(c, samples - k)
+                states = block_states[:b]
+                if stacked:
+                    np.multiply(lower, stacked[AFTER_LAYER_1][k : k + b], out=states)
+                states = states.reshape(b * n, steps, h)
+                lstm_layer(self.layer2, Tensor(states), out=states)
+                if stacked:
+                    states.reshape(b, n, steps, h)[:] *= stacked[AFTER_LAYER_2][k : k + b]
+                block_lengths = np.tile(lengths, b)
+                finals = states[np.arange(b * n), block_lengths - 1]
+                contexts = attend(
+                    Tensor(states), Tensor(finals), block_lengths, self.hp.attention_mode
+                ).data
+                if not logits:
+                    finals_out[k * n : (k + b) * n] = finals
+                    contexts_out[k * n : (k + b) * n] = contexts
+                    continue
+                # the head runs per sample: a BLAS product with two columns
+                # rounds a row differently as the row count changes, and one
+                # sample's n rows are what the graph forward multiplies
+                for j in range(b):
+                    rows = slice(j * n, (j + 1) * n)
+                    head_masks = None
+                    if stacked:
+                        head_masks = {PREDICTION_INPUT: stacked[PREDICTION_INPUT][k + j, :, 0]}
+                    out[(k + j) * n : (k + j + 1) * n] = self._head(
+                        Tensor(finals[rows]), Tensor(contexts[rows]), head_masks
+                    ).data
+        return out if logits else (finals_out, contexts_out)
 
     def infer_logits(self, ids, lengths, masks=None):
-        finals, contexts = self.infer_states(ids, lengths, masks)
-        with no_grad():
-            return self._head(Tensor(finals), Tensor(contexts), masks).data
+        return self.infer_states(ids, lengths, masks, logits=True)
 
     # -- prediction -------------------------------------------------------
 

@@ -6,9 +6,16 @@ Masks are applied at three placements: after each recurrent layer
 prediction time the mask set for sample m is derived from the stream key
 (seed, m, placement) and shared across the whole batch, so each of the M
 stochastic passes behaves like one thinned network evaluated on every
-example, and results do not depend on batch composition or execution
-order.  With rate 0 every mask branch short-circuits and the model is
-bit-for-bit the deterministic one."""
+example.  No mask reaches layer 1's input, so prediction runs layer 1
+once and stacks the M samples through layer 2, attention and the head
+(`BaseClassifier.infer_states`).  In a batch of two or more posts the
+stacked samples equal M separate passes bit for bit; in a one-post batch
+a single pass's products take a matrix-vector kernel and can differ in
+the last bit.  Results do not depend on execution order, and depend on
+the other posts in a batch only through BLAS rounding in the last bits,
+which can change with a product's row count.  With rate 0 every mask
+branch short-circuits and the model is bit-for-bit the deterministic
+one."""
 
 from __future__ import annotations
 
@@ -85,25 +92,25 @@ class McdClassifier(BaseClassifier):
             raise UsageError("a random stream is required when dropout is active")
         return self._draw_masks(rng, n_rows)
 
-    def sample_logits(self, ids, lengths, rng, sample_index):
-        """One stochastic prediction pass: masks keyed by sample index,
-        broadcast over the batch."""
+    def sample_logits(self, ids, lengths, rng, sample_indices):
+        """Stochastic prediction passes, one per sample index: returns
+        (k, n, 2) logits.  Sample m's masks are keyed by (rng, m,
+        placement) and shared by every post in the batch; all k samples
+        run stacked through one `infer_logits` call."""
+        n = len(lengths)
+        indices = list(sample_indices)
         if self.cfg.dropout_rate == 0.0:
-            return self.infer_logits(ids, lengths)
-        masks = self._draw_masks(rng.child(sample_index), 1)
-        return self.infer_logits(ids, lengths, masks)
+            # every pass is the deterministic one; no need to run it k times
+            return np.tile(self.infer_logits(ids, lengths), (len(indices), 1, 1))
+        draws = [self._draw_masks(rng.child(k), 1) for k in indices]
+        masks = {}
+        for placement in draws[0]:
+            rows = np.concatenate([d[placement] for d in draws])     # (k, width)
+            masks[placement] = np.broadcast_to(rows[:, None], (len(indices), n, rows.shape[1]))
+        return self.infer_logits(ids, lengths, masks).reshape(len(indices), n, NUM_CLASSES)
 
     def predict_batch(self, ids, lengths, rng=None):
         if self.cfg.dropout_rate > 0.0 and rng is None:
             raise UsageError("a random stream is required when dropout is active")
-        n = np.asarray(ids).shape[0]
-        m = self.cfg.num_samples
-        if self.cfg.dropout_rate == 0.0:
-            # every pass is the deterministic one; no need to run it M times
-            single = self.infer_logits(ids, lengths)
-            samples = np.tile(single, (m, 1, 1))
-        else:
-            samples = np.empty((m, n, NUM_CLASSES))
-            for k in range(m):
-                samples[k] = self.sample_logits(ids, lengths, rng, k)
-        return [aggregate_logit_samples(samples[:, i, :]) for i in range(n)]
+        samples = self.sample_logits(ids, lengths, rng, range(self.cfg.num_samples))
+        return [aggregate_logit_samples(samples[:, i, :]) for i in range(samples.shape[1])]

@@ -261,6 +261,9 @@ class TestPredict:
         assert len(record["mean_probs"]) == 2
         assert record["num_samples"] == 5
         assert "per_sample_logits" not in record
+        error = record["mc_standard_error"]
+        assert set(error) == {"mean_probs", "entropy"}
+        assert error["mean_probs"] > 0.0 and error["entropy"] >= 0.0
 
     def test_show_samples(self, vi_checkpoint, capsys):
         code, out, _ = run_cli(

@@ -10,6 +10,7 @@ import logging
 import numpy as np
 import pytest
 
+from urgentbayes import encoder
 from urgentbayes.autodiff import (
     Parameter,
     RngStream,
@@ -34,7 +35,7 @@ from urgentbayes.encoder import (
     lstm_layer,
     lstm_step,
 )
-from urgentbayes.errors import ConfigurationError, NonFiniteError, ShapeError
+from urgentbayes.errors import ConfigurationError, NonFiniteError, ShapeError, UsageError
 from urgentbayes.training import build_model
 
 ATOL = 1e-12
@@ -115,6 +116,22 @@ def test_lstm_layer_no_grad_same_states():
         free = lstm_layer(layer, x)
     assert not free.requires_grad and free._parents == ()
     assert free.data.tobytes() == recorded.data.tobytes()
+
+
+def test_lstm_layer_writes_over_its_input(monkeypatch):
+    # projection blocks of two timesteps: each block is read before the
+    # states overwrite it
+    monkeypatch.setattr(encoder, "PROJECTION_BLOCK_BYTES", 2 * 3 * 4 * 4 * 8)
+    gen = np.random.default_rng(8)
+    layer = init_lstm_layer(4, 4, RngStream(8), "layer")
+    x = gen.normal(size=(3, 7, 4))
+    with no_grad():
+        want = lstm_layer(layer, Tensor(x)).data
+        states = lstm_layer(layer, Tensor(x), out=x)
+    assert states.data is x
+    assert x.tobytes() == want.tobytes()
+    with pytest.raises(UsageError):
+        lstm_layer(layer, Parameter(want, "x"), out=want)
 
 
 def test_lstm_layer_rejects_wrong_width():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from urgentbayes import encoder
 from urgentbayes.autodiff import RngStream
 from urgentbayes.encoder import BaseClassifier, HyperParams
 from urgentbayes.errors import ConfigurationError, UsageError
@@ -15,9 +16,9 @@ def tiny_hp(**overrides):
     return HyperParams(**defaults)
 
 
-def make_pair(seed=0, rate=0.3, num_samples=10, vocab=20):
+def make_pair(seed=0, rate=0.3, num_samples=10, vocab=20, **hp_overrides):
     """Base and MCD models with identical parameters."""
-    hp = tiny_hp()
+    hp = tiny_hp(**hp_overrides)
     emb = RngStream(seed).child("emb").generator().uniform(-0.5, 0.5, size=(vocab, hp.embed_dim))
     base = BaseClassifier(hp, emb, RngStream(seed))
     mcd = McdClassifier(hp, emb, RngStream(seed), McdConfig(rate, num_samples))
@@ -54,8 +55,9 @@ class TestRateZeroDegeneracy:
         ids, lengths = batch()
         base_logits = base.infer_logits(ids, lengths)
         rng = RngStream(99)
-        for m in range(7):
-            sample = mcd.sample_logits(ids, lengths, rng, m)
+        samples = mcd.sample_logits(ids, lengths, rng, range(7))
+        assert samples.shape == (7, len(ids), 2)
+        for sample in samples:
             assert sample.tobytes() == base_logits.tobytes()
         base_pred = base.predict_batch(ids, lengths)
         mcd_pred = mcd.predict_batch(ids, lengths, rng)
@@ -75,16 +77,15 @@ class TestStochasticForward:
         _, mcd = make_pair(rate=0.5)
         ids, lengths = batch()
         rng = RngStream(7)
-        a = mcd.sample_logits(ids, lengths, rng, 3)
-        b = mcd.sample_logits(ids, lengths, rng, 3)
+        a = mcd.sample_logits(ids, lengths, rng, [3])
+        b = mcd.sample_logits(ids, lengths, rng, [3])
         np.testing.assert_array_equal(a, b)
 
     def test_different_sample_indices_differ(self):
         _, mcd = make_pair(rate=0.5)
         ids, lengths = batch()
         rng = RngStream(7)
-        a = mcd.sample_logits(ids, lengths, rng, 0)
-        b = mcd.sample_logits(ids, lengths, rng, 1)
+        a, b = mcd.sample_logits(ids, lengths, rng, [0, 1])
         assert not np.array_equal(a, b)
 
     def test_training_loss_needs_stream(self):
@@ -121,7 +122,7 @@ class TestPrediction:
         ids, lengths = batch(n=2)
         rng = RngStream(13)
         dists = mcd.predict_batch(ids, lengths, rng)
-        single = mcd.sample_logits(ids, lengths, rng, 0)
+        (single,) = mcd.sample_logits(ids, lengths, rng, [0])
         for i, d in enumerate(dists):
             np.testing.assert_array_equal(d.mean_logits, single[i])
 
@@ -146,9 +147,7 @@ class TestPrediction:
         lengths = np.array([4])
         big = 5000
         rng = RngStream(23)
-        samples = np.empty((big, 2))
-        for m in range(big):
-            samples[m] = mcd.sample_logits(ids, lengths, rng, m)[0]
+        samples = mcd.sample_logits(ids, lengths, rng, range(big))[:, 0]
         mean_big = samples.mean(axis=0)
         se = samples.std(axis=0, ddof=1) / np.sqrt(50)
         mean_small = samples[:50].mean(axis=0)
@@ -166,9 +165,7 @@ class TestPrediction:
             out = np.empty((repeats, 2))
             for r in range(repeats):
                 rng = root.child(tag, r)
-                sams = np.empty((m_samples, 2))
-                for m in range(m_samples):
-                    sams[m] = mcd.sample_logits(ids, lengths, rng, m)[0]
+                sams = mcd.sample_logits(ids, lengths, rng, range(m_samples))[:, 0]
                 out[r] = sams.mean(axis=0)
             return out.var(axis=0)
 
@@ -181,8 +178,115 @@ class TestPrediction:
         _, mcd = make_pair(rate=0.3, num_samples=6)
         ids, lengths = np.array([[2, 3, 0, 0, 0, 0]]), np.array([2])
         rng = RngStream(31)
-        logits = mcd.sample_logits(ids, lengths, rng, 0)
-        assert logits.shape == (1, 2)
+        logits = mcd.sample_logits(ids, lengths, rng, range(6))
+        assert logits.shape == (6, 1, 2)
         (dist,) = mcd.predict_batch(ids, lengths, rng)
         assert dist.per_sample_logits.shape == (6, 2)
-        np.testing.assert_array_equal(dist.per_sample_logits[0], logits[0])
+        np.testing.assert_array_equal(dist.per_sample_logits, logits[:, 0])
+
+
+def per_sample_reference(mcd, ids, lengths, rng, num_samples):
+    """Each sample's logits from its own `infer_logits` call, with that
+    sample's masks repeated for every post, as the graph forward takes
+    them."""
+    out = []
+    for k in range(num_samples):
+        masks = mcd._draw_masks(rng.child(k), 1)
+        masks = {p: np.repeat(m, len(lengths), axis=0) for p, m in masks.items()}
+        out.append(mcd.infer_logits(ids, lengths, masks))
+    return np.stack(out)
+
+
+def count_layer_calls(monkeypatch, model):
+    """Counts `lstm_layer` calls per layer of `model`."""
+    calls = {"layer1": 0, "layer2": 0}
+    real = encoder.lstm_layer
+
+    def counting(params, *args, **kwargs):
+        calls["layer1" if params is model.layer1 else "layer2"] += 1
+        return real(params, *args, **kwargs)
+
+    monkeypatch.setattr(encoder, "lstm_layer", counting)
+    return calls
+
+
+class TestStackedSamples:
+    @pytest.mark.parametrize("hidden", [4, 24])
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_equal_to_per_sample_passes(self, n, hidden):
+        _, mcd = make_pair(rate=0.3, num_samples=9, hidden_dim=hidden)
+        ids, lengths = batch(seed=n, n=n)
+        rng = RngStream(41)
+        stacked = mcd.sample_logits(ids, lengths, rng, range(9))
+        reference = per_sample_reference(mcd, ids, lengths, rng, 9)
+        assert stacked.tobytes() == reference.tobytes()
+        graph = mcd.batch_logits(ids, lengths, {
+            p: np.repeat(m, n, axis=0) for p, m in mcd._draw_masks(rng.child(4), 1).items()
+        })
+        assert stacked[4].tobytes() == graph.data.tobytes()
+
+    @pytest.mark.parametrize("hidden", [4, 24])
+    def test_one_post_within_rounding(self, hidden):
+        # a one-row product takes another BLAS kernel than a stacked one
+        _, mcd = make_pair(rate=0.3, num_samples=9, hidden_dim=hidden)
+        ids, lengths = np.array([[2, 3, 4, 5, 0, 0]]), np.array([4])
+        rng = RngStream(43)
+        stacked = mcd.sample_logits(ids, lengths, rng, range(9))
+        reference = per_sample_reference(mcd, ids, lengths, rng, 9)
+        np.testing.assert_allclose(stacked, reference, rtol=0, atol=1e-12)
+
+    def test_blocks_with_remainder_match_one_block(self, monkeypatch):
+        _, mcd = make_pair(rate=0.3, num_samples=7)
+        ids, lengths = batch(seed=5, n=4)
+        rng = RngStream(47)
+        one_block = mcd.predict_batch(ids, lengths, rng)
+        # three samples per block: blocks of 3, 3 and 1
+        state_bytes = len(lengths) * int(lengths.max()) * mcd.hp.hidden_dim * 8
+        monkeypatch.setattr(encoder, "PROJECTION_BLOCK_BYTES", 3 * state_bytes)
+        calls = count_layer_calls(monkeypatch, mcd)
+        blocked = mcd.predict_batch(ids, lengths, rng)
+        assert calls == {"layer1": 1, "layer2": 3}
+        for a, b in zip(one_block, blocked):
+            assert a.per_sample_logits.tobytes() == b.per_sample_logits.tobytes()
+
+    def test_layer1_runs_once_per_predict_batch(self, monkeypatch):
+        _, mcd = make_pair(rate=0.3, num_samples=50)
+        ids, lengths = batch(n=3)
+        calls = count_layer_calls(monkeypatch, mcd)
+        mcd.predict_batch(ids, lengths, RngStream(53))
+        assert calls == {"layer1": 1, "layer2": 1}
+
+
+class TestStandardError:
+    def test_matches_numpy(self):
+        _, mcd = make_pair(rate=0.4, num_samples=30)
+        ids, lengths = batch(n=4)
+        for dist in mcd.predict_batch(ids, lengths, RngStream(59)):
+            p = dist.mean_probs[1]
+            diff = dist.per_sample_logits[:, 1] - dist.per_sample_logits[:, 0]
+            se_p = p * (1 - p) * np.std(diff, ddof=1) / np.sqrt(30)
+            se = dist.mc_standard_error
+            assert se.mean_probs > 0.0
+            assert se.mean_probs == pytest.approx(se_p, rel=1e-12)
+            assert se.entropy == pytest.approx(abs(np.log((1 - p) / p)) * se_p, rel=1e-12)
+
+    def test_zero_without_spread(self):
+        base, mcd0 = make_pair(rate=0.0, num_samples=8)
+        _, mcd1 = make_pair(rate=0.3, num_samples=1)
+        ids, lengths = batch(n=3)
+        for model in (base, mcd0, mcd1):
+            for dist in model.predict_batch(ids, lengths, RngStream(61)):
+                assert dist.mc_standard_error == encoder.NO_MC_ERROR
+
+    def test_shrinks_with_m(self):
+        ids, lengths = batch(n=3)
+        errors = {}
+        for m in (10, 100):
+            _, mcd = make_pair(rate=0.3, num_samples=m)
+            # away from p = 1/2, where the entropy's slope in p vanishes
+            mcd.head_bias.data[:] = [1.0, -1.0]
+            dists = mcd.predict_batch(ids, lengths, RngStream(67))
+            errors[m] = [d.mc_standard_error for d in dists]
+        for small, large in zip(errors[10], errors[100]):
+            assert large.mean_probs < small.mean_probs
+            assert large.entropy < small.entropy
