@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Parameter, RngStream, backward
+from .autodiff import Parameter, RngStream, _check_finite, backward
 from .corpus import LabeledExample
 from .encoder import MODEL_KINDS, BaseClassifier, HyperParams
 from .errors import (
@@ -56,13 +56,65 @@ class TrainConfig:
             raise ConfigurationError("gradient_clip_norm must be positive or none")
 
 
+# A 2-D parameter is updated row by row while fewer than this share of its
+# rows are live; past it, fancy indexing costs more than the dense update.
+SPARSE_MAX_LIVE_SHARE = 0.5
+
+
 class AdaptiveMomentState:
-    """First/second moment accumulators, one pair per parameter."""
+    """First/second moment accumulators, one pair per parameter.
+
+    The moments start as lazily mapped zeros. For each 2-D parameter,
+    `live` marks the rows that have ever had a nonzero gradient; `None`
+    means every row is updated (1-D parameters, and 2-D ones once most
+    rows are live)."""
 
     def __init__(self, params: list[Parameter]):
         self.step_count = 0
-        self.first = [np.zeros_like(p.data) for p in params]
-        self.second = [np.zeros_like(p.data) for p in params]
+        self.first = [np.zeros(p.data.shape) for p in params]
+        self.second = [np.zeros(p.data.shape) for p in params]
+        self.live = [
+            np.zeros(p.data.shape[0], dtype=bool) if p.data.ndim == 2 else None
+            for p in params
+        ]
+
+
+def _live_rows(state: AdaptiveMomentState, i: int, grad: np.ndarray) -> np.ndarray | None:
+    """Rows of parameter i the step must update, or None for all of them.
+
+    A row whose moments and gradient are all zero is left bitwise unchanged
+    by the update (the moments stay 0 and the weight loses +0.0), so the
+    rows that never had a nonzero gradient can be skipped exactly."""
+    live = state.live[i]
+    if live is None:
+        return None
+    live |= grad.any(axis=1)
+    if np.count_nonzero(live) > SPARSE_MAX_LIVE_SHARE * live.size:
+        state.live[i] = None  # live rows never die, so the update stays dense
+        return None
+    return np.flatnonzero(live)
+
+
+def _moment_update(p, m, v, g, lr, c1, c2):
+    """The bias-corrected update of arrays `p`, `m`, `v` in place.
+
+    Elementwise only, in the operation order of the textbook form
+    `p -= lr * m_hat / (sqrt(v_hat) + eps)`, so a row subset rounds exactly
+    as the whole array; the two work arrays replace its temporaries."""
+    a = np.multiply(g, 1.0 - ADAM_BETA1)
+    m *= ADAM_BETA1
+    m += a
+    np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+    a *= g
+    v *= ADAM_BETA2
+    v += a
+    np.divide(m, c1, out=a)
+    a *= lr
+    b = np.divide(v, c2)
+    np.sqrt(b, out=b)
+    b += ADAM_EPSILON
+    a /= b
+    p -= a
 
 
 def adaptive_moment_step(
@@ -75,26 +127,35 @@ def adaptive_moment_step(
         raise UsageError("optimizer state does not match parameter list")
     state.step_count += 1
     t = state.step_count
-    for p, m, v in zip(params, state.first, state.second):
-        g = p.grad
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        p.data -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
+    for i, (p, m, v) in enumerate(zip(params, state.first, state.second)):
+        rows = _live_rows(state, i, p.grad)
+        if rows is None:
+            _moment_update(p.data, m, v, p.grad, learning_rate, c1, c2)
+        else:
+            p_rows, m_rows, v_rows = p.data[rows], m[rows], v[rows]
+            _moment_update(p_rows, m_rows, v_rows, p.grad[rows], learning_rate, c1, c2)
+            p.data[rows], m[rows], v[rows] = p_rows, m_rows, v_rows
+
+
+def _check_finite_gradients(params: list[Parameter]) -> None:
+    for p in params:
+        _check_finite(p.grad, f"the gradient of {p.name}")
 
 
 def clip_gradient_norm(params: list[Parameter], max_norm: float) -> float:
     """Scale all gradients so their joint L2 norm is at most max_norm.
 
-    Returns the pre-clip norm.
+    Returns the pre-clip norm. Raises NonFiniteError when a gradient holds
+    NaN or Inf (scaling by a non-finite norm would turn it into NaN).
     """
     total = 0.0
     for p in params:
         total += float(np.sum(p.grad * p.grad))
     norm = math.sqrt(total)
+    if not math.isfinite(norm):
+        _check_finite_gradients(params)
     if norm > max_norm:
         scale = max_norm / norm
         for p in params:
@@ -165,12 +226,16 @@ def train(
                 for p in params:
                     p.zero_grad()
                 backward(loss)
+                # a NaN or Inf gradient must not reach the weights; clipping
+                # finds one through its norm
+                if cfg.gradient_clip_norm is not None:
+                    clip_gradient_norm(params, cfg.gradient_clip_norm)
+                else:
+                    _check_finite_gradients(params)
             except NonFiniteError as exc:
                 raise DivergenceError(
                     f"training diverged at epoch {epoch}, step {global_step}: {exc}"
                 ) from exc
-            if cfg.gradient_clip_norm is not None:
-                clip_gradient_norm(params, cfg.gradient_clip_norm)
             adaptive_moment_step(params, state, cfg.learning_rate)
             batch_losses.append(loss_value)
             for k, v in parts.items():

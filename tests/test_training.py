@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from urgentbayes import training
 from urgentbayes.autodiff import Parameter, RngStream, backward
 from urgentbayes.checkpoint import (
     FORMAT_VERSION,
@@ -20,10 +21,14 @@ from urgentbayes.errors import (
     ConfigurationError,
     DataError,
     DivergenceError,
+    NonFiniteError,
     UsageError,
 )
 from urgentbayes.metrics import predictive_entropy
 from urgentbayes.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     AdaptiveMomentState,
     TrainConfig,
     adaptive_moment_step,
@@ -148,6 +153,16 @@ class TestClip:
         assert norm == pytest.approx(3.0)
         assert a.grad[0] == 3.0
 
+    def test_non_finite_gradient_is_not_scaled(self):
+        # scaling by an infinite norm would turn inf into inf * 0 = NaN
+        a = Parameter(np.zeros(2), "a")
+        b = Parameter(np.zeros(1), "b")
+        a.grad[...] = 3.0
+        b.grad[...] = np.inf
+        with pytest.raises(NonFiniteError, match="gradient of b"):
+            clip_gradient_norm([a, b], 5.0)
+        assert a.grad.tolist() == [3.0, 3.0]
+
 
 class TestTrainLoop:
     def test_zero_epochs_params_unchanged(self):
@@ -241,6 +256,172 @@ class TestTrainLoop:
         split = toy_split(n=16, seed=4)
         train(model, split, TrainConfig(learning_rate=1e-2, epochs=60, batch_size=16))
         assert train_accuracy(model, split) == 1.0
+
+    @pytest.mark.parametrize("clip", [5.0, None])
+    def test_non_finite_gradient_aborts_before_the_update(self, monkeypatch, clip):
+        model = tiny_model(seed=2)
+        weights = {p.name: p for p in model.parameters()}["layer1.recurrent_weights"]
+
+        def poisoned_backward(loss):
+            backward(loss)
+            weights.grad[1, 2] = np.inf
+
+        monkeypatch.setattr(training, "backward", poisoned_backward)
+        before = [p.data.copy() for p in model.parameters()]
+        cfg = TrainConfig(epochs=1, batch_size=12, gradient_clip_norm=clip)
+        with pytest.raises(DivergenceError, match=r"epoch 0, step 0: .*layer1\.recurrent_weights"):
+            train(model, toy_split(), cfg)
+        for p, b in zip(model.parameters(), before):
+            assert p.data.tobytes() == b.tobytes(), p.name
+
+
+def dense_adam(datas, grads, first, second, t, lr):
+    """The update applied to every row of every parameter, in the textbook
+    form: the oracle the row-sparse step must match byte for byte."""
+    for data, g, m, v in zip(datas, grads, first, second):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+
+
+# Hand-made batches over a 60-row table. Row 30 is first gathered at step 3
+# (so its first bias correction uses the global t = 3) and not at step 4,
+# where only its moments move it. Row 0 is padding.
+SPARSE_BATCHES = [
+    ([[2, 3, 4, 5, 0, 0], [6, 7, 8, 0, 0, 0]], [4, 3], [1, 0]),
+    ([[2, 9, 10, 11, 12, 0], [3, 4, 0, 0, 0, 0]], [5, 2], [0, 1]),
+    ([[30, 2, 3, 0, 0, 0], [31, 5, 6, 7, 8, 9]], [3, 6], [1, 0]),
+    ([[2, 3, 0, 0, 0, 0], [4, 5, 6, 0, 0, 0]], [2, 3], [1, 0]),
+    ([[12, 11, 10, 9, 0, 0], [8, 30, 0, 0, 0, 0]], [4, 2], [0, 1]),
+]
+
+
+class TestRowSparseAdam:
+    """The row-sparse step skips only rows whose update is exactly a no-op,
+    so it must agree with `dense_adam` bit for bit."""
+
+    def step_both(self, model, batches, clip_norm, lr=5e-2):
+        """Run the batches through `adaptive_moment_step` and `dense_adam`
+        side by side, checking parameters and moments after every step."""
+        params = model.parameters()
+        state = AdaptiveMomentState(params)
+        datas = [p.data.copy() for p in params]
+        first = [np.zeros_like(p.data) for p in params]
+        second = [np.zeros_like(p.data) for p in params]
+        norms, live_rows = [], []
+        for t, (ids, lengths, labels) in enumerate(batches, start=1):
+            loss, _ = model.batch_loss_parts(
+                np.array(ids), np.array(lengths), np.array(labels), RngStream(t)
+            )
+            for p in params:
+                p.zero_grad()
+            backward(loss)
+            norms.append(clip_gradient_norm(params, clip_norm))
+            dense_adam(datas, [p.grad for p in params], first, second, t, lr)
+            adaptive_moment_step(params, state, lr)
+            for p, d, m, v, sm, sv in zip(params, datas, first, second, state.first, state.second):
+                assert p.data.tobytes() == d.tobytes(), (t, p.name)
+                assert sm.tobytes() == m.tobytes(), (t, p.name)
+                assert sv.tobytes() == v.tobytes(), (t, p.name)
+            live = state.live[0]
+            live_rows.append(None if live is None else set(np.flatnonzero(live).tolist()))
+        return state, norms, live_rows
+
+    @pytest.mark.parametrize("kind", ["base", "mcd", "vi"])
+    def test_matches_dense_update(self, kind):
+        model = tiny_model(kind, seed=8, vocab=60)
+        assert model.parameters()[0] is model.embedding
+        pad_row = model.embedding.data[0].copy()
+        state, norms, live_rows = self.step_both(model, SPARSE_BATCHES, clip_norm=0.05)
+        assert max(norms) > 0.05  # clipping fired
+        assert 30 not in live_rows[1] and 30 in live_rows[2]
+        assert 0 not in live_rows[-1]  # the pad row never had a gradient
+        assert model.embedding.data[0].tobytes() == pad_row.tobytes()
+        assert not state.first[0][0].any() and not state.second[0][0].any()
+        # the table stays on the sparse path, every other 2-D weight went dense
+        assert state.live[0] is not None
+        assert all(live is None for live in state.live[1:])
+
+    @pytest.mark.parametrize("kind", ["base", "mcd", "vi"])
+    def test_mostly_live_table_takes_dense_update(self, kind):
+        model = tiny_model(kind, seed=9, vocab=13)
+        batches = [b for b in SPARSE_BATCHES if max(map(max, b[0])) < 13]
+        _, _, live_rows = self.step_both(model, batches, clip_norm=0.05)
+        assert live_rows == [None] * len(batches)
+
+    def test_all_rows_live(self):
+        gen = np.random.default_rng(3)
+        p = Parameter(gen.standard_normal((50, 4)), "p")
+        state = AdaptiveMomentState([p])
+        data, m, v = p.data.copy(), np.zeros((50, 4)), np.zeros((50, 4))
+        for t in range(1, 5):
+            p.grad[...] = gen.standard_normal((50, 4))
+            dense_adam([data], [p.grad], [m], [v], t, 1e-2)
+            adaptive_moment_step([p], state, 1e-2)
+            assert state.live[0] is None
+            assert p.data.tobytes() == data.tobytes()
+            assert state.first[0].tobytes() == m.tobytes()
+            assert state.second[0].tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("kind", ["base", "mcd", "vi"])
+    def test_train_matches_dense_train(self, kind, tmp_path, monkeypatch):
+        examples = [
+            LabeledExample(np.array(ids), length, label)
+            for batch in SPARSE_BATCHES
+            for ids, length, label in zip(*batch)
+        ]
+        cfg = TrainConfig(learning_rate=5e-2, epochs=3, batch_size=4, seed=1,
+                          model_kind=kind, gradient_clip_norm=0.05)
+        model, reference = tiny_model(kind, seed=10, vocab=60), tiny_model(kind, seed=10, vocab=60)
+        result = train(model, examples, cfg)
+
+        def dense_step(params, state, lr):
+            state.step_count += 1
+            dense_adam([p.data for p in params], [p.grad for p in params],
+                       state.first, state.second, state.step_count, lr)
+
+        monkeypatch.setattr(training, "adaptive_moment_step", dense_step)
+        assert result.loss_trace == train(reference, examples, cfg).loss_trace
+        tokens = ["<pad>", "<unk>"] + [f"t{i}" for i in range(58)]
+        paths = [str(tmp_path / f"{name}.ckpt") for name in ("sparse", "dense")]
+        save_checkpoint(paths[0], model, tokens)
+        save_checkpoint(paths[1], reference, tokens)
+        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+
+    def test_very_large_vocabulary(self, monkeypatch):
+        # 200k rows: a train step must leave the rows no post gathered bitwise
+        # alone, with zero moments, and move the rows the posts used
+        states = []
+
+        class RecordingState(AdaptiveMomentState):
+            def __init__(self, params):
+                super().__init__(params)
+                states.append(self)
+
+        monkeypatch.setattr(training, "AdaptiveMomentState", RecordingState)
+        vocab = 200_000
+        model = tiny_model(seed=11, vocab=vocab, embed_dim=2)
+        gen = np.random.default_rng(11)
+        examples = []
+        for i in range(16):
+            length = int(gen.integers(1, 7))
+            ids = np.zeros(6, dtype=np.int64)
+            ids[:length] = gen.integers(2, vocab, size=length)
+            examples.append(LabeledExample(ids, length, i % 2))
+        before = model.embedding.data.copy()
+        train(model, examples, TrainConfig(learning_rate=1e-2, epochs=2, batch_size=8))
+        used = np.unique(np.concatenate([ex.token_ids[: ex.true_length] for ex in examples]))
+        unused = np.setdiff1d(np.arange(vocab), used)
+        after = model.embedding.data
+        assert after[unused].tobytes() == before[unused].tobytes()
+        assert (after[used] != before[used]).any(axis=1).all()
+        (state,) = states
+        assert state.live[0] is not None  # the update stayed row-sparse
+        assert not state.first[0][unused].any() and not state.second[0][unused].any()
 
 
 class _StubModel:
