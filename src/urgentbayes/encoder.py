@@ -12,7 +12,9 @@ deterministic model bit for bit by construction.  Prediction can stack
 several dropout samples of one batch: layer 1 then runs once, and layer
 2, attention and the head run over blocks of samples (`infer_states`).  Only the head
 (`_build_head`, `_head`) differs by kind; vi's is its reconstruction
-head with the latent code at the prior mean.
+head with the latent code at the prior mean.  Every kind's `predict_batch`
+builds an (M, n, 2) block of sample logits (M = 1 here) and makes one
+`aggregate_logit_samples` call, which returns the n posts' distributions.
 
 The single-example `lstm_step`, `attention_scores` and `context_vector`
 are the step-by-step reference the fused ops are tested against.
@@ -63,6 +65,14 @@ AFTER_LAYER_2 = 1
 PREDICTION_INPUT = 2
 
 
+def require_counts(owner, names):
+    """Raises ConfigurationError unless each named field is an int >= 1, not a bool."""
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclass
 class HyperParams:
     """Architecture sizes; training settings live in TrainConfig."""
@@ -74,9 +84,7 @@ class HyperParams:
     z_dim: int = 16
 
     def validate(self):
-        for name in ("max_len", "embed_dim", "hidden_dim", "z_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
+        require_counts(self, ("max_len", "embed_dim", "hidden_dim", "z_dim"))
         if self.attention_mode not in ATTENTION_MODES:
             raise ConfigurationError(
                 f"attention_mode must be one of {ATTENTION_MODES}, got {self.attention_mode!r}"
@@ -339,47 +347,40 @@ class PredictiveDistribution:
     mc_standard_error: MonteCarloError = NO_MC_ERROR
 
 
-def _mc_standard_error(samples, mean_logits, p):
-    """The delta-method errors of `MonteCarloError` for (M, 2) samples
-    with the given mean logits, whose probability of class 1 is p."""
-    m, p = samples.shape[0], float(p)
-    dev = samples[:, 1] - samples[:, 0]
-    dev -= mean_logits[1] - mean_logits[0]
-    se_p = p * (1.0 - p) * math.sqrt(float(dev @ dev) / (m - 1) / m)
-    if se_p == 0.0:
-        return NO_MC_ERROR
-    return MonteCarloError(se_p, abs(math.log((1.0 - p) / p)) * se_p)
-
-
-def aggregate_logit_samples(per_sample_logits):
-    """Average logits over samples (compensated summation, so the result
-    is independent of sample order), then softmax, entropy, argmax and
-    the Monte Carlo standard error.
-
+def aggregate_logit_samples(sample_logits):
+    """The n posts' `PredictiveDistribution`s from an (M, n, 2) block of
+    logits, M stochastic passes over n posts: each post's mean logits
+    (compensated summation, so independent of sample order), then softmax,
+    entropy, argmax and the Monte Carlo standard error, all posts at once.
     Ties at argmax resolve to label 0."""
-    samples = np.asarray(per_sample_logits, dtype=np.float64)
-    if samples.ndim != 2:
-        raise ShapeError(f"expected an (M, {NUM_CLASSES}) array of logits")
-    m = samples.shape[0]
-    identical = (samples == samples[0]).all()
-    if identical:
-        # the exact mean of identical rows is the row itself; fsum/m would
-        # round twice and can land 1 ulp off
-        mean_logits = samples[0].copy()
-    else:
-        mean_logits = np.array([math.fsum(samples[:, j]) / m for j in range(samples.shape[1])])
-    shifted = mean_logits - mean_logits.max()
-    e = np.exp(shifted)
-    mean_probs = e / e.sum()
-    error = NO_MC_ERROR if identical else _mc_standard_error(samples, mean_logits, mean_probs[1])
-    return PredictiveDistribution(
-        mean_probs=mean_probs,
-        mean_logits=mean_logits,
-        per_sample_logits=samples,
-        entropy=predictive_entropy(mean_probs),
-        predicted_label=int(np.argmax(mean_probs)),
-        mc_standard_error=error,
+    block = np.asarray(sample_logits, dtype=np.float64)
+    if block.ndim != 3 or block.shape[2] != NUM_CLASSES:
+        raise ShapeError(f"expected an (M, n, {NUM_CLASSES}) array of logits")
+    m, n = block.shape[:2]
+    # identical samples are their own exact mean; fsum/m can land 1 ulp off
+    mean_logits = block[0].copy()
+    differ = np.flatnonzero((block != block[0]).any(axis=2).any(axis=0))
+    columns = np.ascontiguousarray(block[:, differ].transpose(1, 2, 0))     # (k, 2, M)
+    sums = [math.fsum(c) for c in columns.reshape(-1, m).tolist()]
+    mean_logits[differ] = np.reshape(sums, (-1, NUM_CLASSES)) / m
+    e = np.exp(mean_logits - mean_logits.max(axis=1, keepdims=True))
+    mean_probs = e / e.sum(axis=1, keepdims=True)
+    # `MonteCarloError`: one contiguous row of deviations per post, dotted alone
+    p = mean_probs[differ, 1]
+    spread = columns[:, 1] - columns[:, 0]
+    spread -= (mean_logits[differ, 1] - mean_logits[differ, 0])[:, None]
+    squares = np.matmul(spread[:, None, :], spread[:, :, None])[:, 0, 0]
+    se_p = np.zeros(n)
+    se_p[differ] = p * (1.0 - p) * np.sqrt(squares / (m - 1) / m)
+    errors = [
+        NO_MC_ERROR if se == 0.0 else MonteCarloError(se, abs(math.log((1.0 - q) / q)) * se)
+        for se, q in zip(se_p.tolist(), mean_probs[:, 1].tolist())
+    ]
+    fields = zip(
+        mean_probs, mean_logits, block.transpose(1, 0, 2),
+        predictive_entropy(mean_probs).tolist(), np.argmax(mean_probs, axis=1).tolist(), errors,
     )
+    return [PredictiveDistribution(*post) for post in fields]
 
 
 class BaseClassifier:
@@ -551,6 +552,5 @@ class BaseClassifier:
     # -- prediction -------------------------------------------------------
 
     def predict_batch(self, ids, lengths, rng=None):
-        """One deterministic pass; the sample trace has a single row."""
-        logits = self.infer_logits(ids, lengths)
-        return [aggregate_logit_samples(logits[i : i + 1]) for i in range(len(logits))]
+        """One deterministic pass, aggregated as a block of M = 1 samples."""
+        return aggregate_logit_samples(self.infer_logits(ids, lengths)[None])

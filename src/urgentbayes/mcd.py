@@ -8,8 +8,9 @@ prediction time the mask set for sample m is derived from the stream key
 stochastic passes behaves like one thinned network evaluated on every
 example.  No mask reaches layer 1's input, so prediction runs layer 1
 once and stacks the M samples through layer 2, attention and the head
-(`BaseClassifier.infer_states`).  In a batch of two or more posts the
-stacked samples equal M separate passes bit for bit; in a one-post batch
+(`BaseClassifier.infer_states`) into the (M, n, 2) block of logits that
+`predict_batch` aggregates in one call.  In a batch of two or more posts
+the stacked samples equal M separate passes bit for bit; in a one-post batch
 a single pass's products take a matrix-vector kernel and can differ in
 the last bit.  Results do not depend on execution order, and depend on
 the other posts in a batch only through BLAS rounding in the last bits,
@@ -28,18 +29,11 @@ from .encoder import (
     AFTER_LAYER_2,
     PREDICTION_INPUT,
     BaseClassifier,
-    PredictiveDistribution,
     aggregate_logit_samples,
+    require_counts,
 )
 from .errors import ConfigurationError, UsageError
 from .metrics import NUM_CLASSES
-
-__all__ = [
-    "McdConfig",
-    "McdClassifier",
-    "PredictiveDistribution",
-    "aggregate_logit_samples",
-]
 
 
 @dataclass
@@ -52,8 +46,7 @@ class McdConfig:
             raise ConfigurationError(
                 f"dropout_rate must be in [0, 1), got {self.dropout_rate}"
             )
-        if self.num_samples < 1:
-            raise ConfigurationError(f"num_samples must be >= 1, got {self.num_samples}")
+        require_counts(self, ("num_samples",))
 
 
 class McdClassifier(BaseClassifier):
@@ -113,4 +106,4 @@ class McdClassifier(BaseClassifier):
         if self.cfg.dropout_rate > 0.0 and rng is None:
             raise UsageError("a random stream is required when dropout is active")
         samples = self.sample_logits(ids, lengths, rng, range(self.cfg.num_samples))
-        return [aggregate_logit_samples(samples[:, i, :]) for i in range(samples.shape[1])]
+        return aggregate_logit_samples(samples)

@@ -14,17 +14,19 @@ NUM_CLASSES = 2
 
 
 def predictive_entropy(probs):
-    """Shannon entropy -sum(p * ln p) of a probability vector, nats.
+    """Shannon entropy -sum(p * ln p) of a probability vector, nats; per row of a 2-D array.
 
     The 0 * ln 0 = 0 convention makes one-hot vectors score exactly 0."""
     p = np.asarray(probs, dtype=np.float64)
     if (p < 0).any():
         raise DomainError("probabilities must be non-negative")
-    total = p.sum()
-    if abs(total - 1.0) > 1e-6:
+    total = p.sum(axis=-1)
+    if (np.abs(total - 1.0) > 1e-6).any():
         raise DomainError(f"probabilities must sum to 1, got {total}")
-    positive = p[p > 0]
-    return float(max(0.0, -(positive * np.log(positive)).sum()))
+    positive = np.where(p > 0, p, 1.0)    # 1 * ln 1 = 0 stands in for the rest
+    h = -(positive * np.log(positive)).sum(axis=-1)
+    h = np.where(h > 0.0, h, 0.0)
+    return float(h) if h.ndim == 0 else h
 
 
 def confusion_matrix(y_true, y_pred):

@@ -42,8 +42,8 @@ class TrainConfig:
     gradient_clip_norm: float | None = 5.0
 
     def validate(self) -> None:
-        if not self.learning_rate > 0:
-            raise ConfigurationError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError("learning_rate must be finite and positive")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be a positive integer")
         if self.epochs < 0:

@@ -3,11 +3,13 @@ and a conditional prior p(z|x) over a latent code z, both diagonal
 Gaussians computed from the encoder's final state.  Training minimizes
 reconstruction cross-entropy (through a reparameterized sample from q)
 plus the closed-form KL between q and p; prediction samples z from the
-prior only, so labels never influence test-time output.  The
+prior only, so labels never influence test-time output (`sample_logits`,
+one (M, n, 2) block of logits, sample m keyed by (seed, "eps", m)).  The
 deterministic forward is the shared one; its `_head` pins z at the prior mean."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,7 @@ from .autodiff import (
     no_grad,
     tanh_op,
 )
-from .encoder import BaseClassifier, aggregate_logit_samples, _uniform_init
+from .encoder import BaseClassifier, aggregate_logit_samples, require_counts, _uniform_init
 from .errors import ConfigurationError, ShapeError, UsageError
 from .metrics import NUM_CLASSES
 
@@ -38,12 +40,9 @@ class ViConfig:
     kl_weight: float = 1.0
 
     def validate(self):
-        if self.z_dim < 1:
-            raise ConfigurationError(f"z_dim must be positive, got {self.z_dim}")
-        if self.m_train < 1 or self.m_test < 1:
-            raise ConfigurationError("sample counts must be >= 1")
-        if self.kl_weight < 0:
-            raise ConfigurationError(f"kl_weight must be >= 0, got {self.kl_weight}")
+        require_counts(self, ("z_dim", "m_train", "m_test"))
+        if not (math.isfinite(self.kl_weight) and self.kl_weight >= 0):
+            raise ConfigurationError(f"kl_weight must be finite and >= 0, got {self.kl_weight}")
 
 
 @dataclass
@@ -221,19 +220,23 @@ class ViClassifier(BaseClassifier):
             raise UsageError("the variational path has no dropout placements")
         return super().infer_logits(ids, lengths)
 
-    def predict_batch(self, ids, lengths, rng=None):
-        """Sample m_test latent codes from the conditional prior; labels
-        play no part anywhere in this path."""
-        if rng is None:
-            raise UsageError("a random stream is required to sample the latent code")
+    def sample_logits(self, ids, lengths, rng, sample_indices):
+        """(k, n, 2) logits, one conditional-prior sample per index, sample m's
+        noise from (rng, "eps", m); the encoder runs once for all k."""
         finals, contexts = (Tensor(a) for a in self.infer_states(ids, lengths))
-        n = finals.data.shape[0]
-        m = self.cfg.m_test
-        samples = np.empty((m, n, NUM_CLASSES))
+        logits = []
         with no_grad():
             prior = prior_params(finals, self.heads)
-            for k in range(m):
-                eps = rng.child("eps", k).generator().standard_normal((n, self.cfg.z_dim))
+            for k in sample_indices:
+                eps = rng.child("eps", k).generator().standard_normal(prior.mu.data.shape)
                 z = reparameterize(prior, eps)
-                samples[k] = _recon_logits(z, finals, contexts, self.heads).data
-        return [aggregate_logit_samples(samples[:, i, :]) for i in range(n)]
+                logits.append(_recon_logits(z, finals, contexts, self.heads).data)
+        return np.stack(logits)
+
+    def predict_batch(self, ids, lengths, rng=None):
+        """m_test latent samples from the conditional prior; labels play no
+        part anywhere in this path."""
+        if rng is None:
+            raise UsageError("a random stream is required to sample the latent code")
+        samples = self.sample_logits(ids, lengths, rng, range(self.cfg.m_test))
+        return aggregate_logit_samples(samples)

@@ -289,7 +289,13 @@ class TestPredict:
 
     @pytest.mark.parametrize(
         "section, key, value",
-        [(None, "model_kind", "xyz"), ("hyperparams", "num_layers", 3), ("mcd", "aggregate", "median")],
+        [
+            (None, "model_kind", "xyz"),
+            ("hyperparams", "num_layers", 3),
+            ("mcd", "aggregate", "median"),
+            ("mcd", "num_samples", 2.5),
+            ("hyperparams", "hidden_dim", True),
+        ],
     )
     def test_bad_header_is_data_error(
         self, mcd_checkpoint, tmp_path, capsys, edit_header, section, key, value

@@ -61,6 +61,10 @@ class TestParse:
             parse_config("learning_rate = -1.0")
         with pytest.raises(ConfigurationError):
             parse_config("dropout_rate = 1.5")
+        for text in ("learning_rate = inf", "learning_rate = nan", "kl_weight = nan",
+                     "kl_weight = inf"):
+            with pytest.raises(ConfigurationError):
+                parse_config(text)
 
     def test_paths_are_plain_strings(self):
         cfg = parse_config("train_data = /tmp/x.npz\nout_dir = runs/a")

@@ -15,10 +15,12 @@ from urgentbayes.autodiff import (
     grad_check,
 )
 from urgentbayes.encoder import (
+    NO_MC_ERROR,
     BaseClassifier,
     EncoderState,
     HyperParams,
     LstmLayerParams,
+    MonteCarloError,
     aggregate_logit_samples,
     attend,
     attention_scores,
@@ -26,7 +28,7 @@ from urgentbayes.encoder import (
     init_lstm_layer,
     lstm_step,
 )
-from urgentbayes.errors import ConfigurationError, DataError, UsageError
+from urgentbayes.errors import ConfigurationError, DataError, ShapeError, UsageError
 
 
 def tiny_hp(**overrides):
@@ -56,6 +58,17 @@ class TestHyperParams:
     def test_attention_mode_checked(self):
         with pytest.raises(ConfigurationError):
             HyperParams(attention_mode="linear").validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_len", 2.5), ("hidden_dim", True), ("embed_dim", 0), ("z_dim", "4")],
+    )
+    def test_sizes_are_positive_integers(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be a positive integer"):
+            tiny_hp(**{field: value}).validate()
+
+    def test_numpy_integer_sizes_accepted(self):
+        tiny_hp(hidden_dim=np.int64(4)).validate()
 
 
 class TestLstmStep:
@@ -334,30 +347,87 @@ class TestBatchForward:
             np.testing.assert_array_equal(pa.data, pb.data)
 
 
+def per_post_oracle(samples):
+    """The per-post aggregation `aggregate_logit_samples` replaced, kept as
+    the reference its batched arithmetic must match bit for bit: returns
+    (mean_probs, mean_logits, entropy, predicted_label, mc_standard_error)
+    for one post's (M, 2) samples."""
+    m = samples.shape[0]
+    identical = (samples == samples[0]).all()
+    if identical:
+        mean_logits = samples[0].copy()
+    else:
+        mean_logits = np.array([math.fsum(samples[:, j]) / m for j in range(samples.shape[1])])
+    e = np.exp(mean_logits - mean_logits.max())
+    mean_probs = e / e.sum()
+    positive = mean_probs[mean_probs > 0]
+    entropy = float(max(0.0, -(positive * np.log(positive)).sum()))
+    error = NO_MC_ERROR
+    if not identical:
+        p = float(mean_probs[1])
+        dev = samples[:, 1] - samples[:, 0]
+        dev -= mean_logits[1] - mean_logits[0]
+        se_p = p * (1.0 - p) * math.sqrt(float(dev @ dev) / (m - 1) / m)
+        if se_p != 0.0:
+            error = MonteCarloError(se_p, abs(math.log((1.0 - p) / p)) * se_p)
+    return mean_probs, mean_logits, entropy, int(np.argmax(mean_probs)), error
+
+
+def aggregate_one(samples):
+    """Aggregates one post's (M, 2) samples through the batched API."""
+    (dist,) = aggregate_logit_samples(np.asarray(samples, dtype=np.float64)[:, None, :])
+    return dist
+
+
 class TestAggregation:
     def test_single_sample(self):
-        dist = aggregate_logit_samples(np.array([[2.0, -1.0]]))
+        dist = aggregate_one([[2.0, -1.0]])
         np.testing.assert_array_equal(dist.mean_logits, [2.0, -1.0])
         assert dist.predicted_label == 0
         assert dist.mean_probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_argmax_tie_goes_to_zero(self):
-        dist = aggregate_logit_samples(np.array([[0.5, 0.5]]))
+        dist = aggregate_one([[0.5, 0.5]])
         assert dist.predicted_label == 0
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(14)
         samples = rng.normal(size=(50, 2)) * 10
-        a = aggregate_logit_samples(samples)
-        b = aggregate_logit_samples(samples[::-1])
+        a = aggregate_one(samples)
+        b = aggregate_one(samples[::-1])
         np.testing.assert_allclose(a.mean_logits, b.mean_logits, atol=1e-10)
         np.testing.assert_allclose(a.mean_probs, b.mean_probs, atol=1e-10)
 
     def test_entropy_range(self):
-        dist = aggregate_logit_samples(np.array([[30.0, -30.0]]))
+        dist = aggregate_one([[30.0, -30.0]])
         assert dist.entropy == pytest.approx(0.0, abs=1e-9)
-        dist = aggregate_logit_samples(np.array([[1.0, 1.0]]))
+        dist = aggregate_one([[1.0, 1.0]])
         assert dist.entropy == pytest.approx(math.log(2.0), abs=1e-12)
+
+    def test_rejects_other_shapes(self):
+        for bad in (np.zeros((3, 2)), np.zeros((3, 4, 3))):
+            with pytest.raises(ShapeError):
+                aggregate_logit_samples(bad)
+
+    @pytest.mark.parametrize("m", [1, 10, 50])
+    @pytest.mark.parametrize("n", [1, 7, 1200])
+    def test_matches_per_post_oracle_bitwise(self, m, n):
+        rng = np.random.default_rng(1000 * m + n)
+        # logits of several scales, so some posts saturate to p = 0 or 1
+        block = rng.normal(size=(m, n, 2)) * rng.choice([0.1, 3.0, 40.0, 800.0], size=(1, n, 1))
+        block[:, ::3] = block[:1, ::3]      # every third post: all samples identical
+        dists = aggregate_logit_samples(block)
+        assert len(dists) == n
+        for i, dist in enumerate(dists):
+            probs, logits, entropy, label, error = per_post_oracle(block[:, i])
+            assert dist.mean_probs.tobytes() == probs.tobytes()
+            assert dist.mean_logits.tobytes() == logits.tobytes()
+            assert dist.per_sample_logits.tobytes() == block[:, i].tobytes()
+            assert type(dist.entropy) is float and repr(dist.entropy) == repr(entropy)
+            assert type(dist.predicted_label) is int and dist.predicted_label == label
+            assert np.array(dist.mc_standard_error).tobytes() == np.array(error).tobytes()
+            if i % 3 == 0 and m > 1:
+                assert dist.mc_standard_error == NO_MC_ERROR
 
     def test_predict_batch_shape(self):
         model = tiny_model(seed=15)

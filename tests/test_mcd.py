@@ -42,6 +42,9 @@ class TestConfig:
     def test_sample_count(self):
         with pytest.raises(ConfigurationError):
             McdConfig(num_samples=0).validate()
+        for bad in (2.5, True, "10"):
+            with pytest.raises(ConfigurationError, match="num_samples must be a positive integer"):
+                McdConfig(num_samples=bad).validate()
 
     def test_defaults(self):
         cfg = McdConfig()

@@ -50,6 +50,20 @@ class TestEntropy:
         with pytest.raises(DomainError):
             predictive_entropy([0.4, 0.4])
 
+    def test_rows_scored_as_vectors(self):
+        rng = np.random.default_rng(1)
+        p1 = np.concatenate([[0.0, 1.0, 0.5, 0.9], rng.uniform(0, 1, 200)])
+        probs = np.stack([p1, 1.0 - p1], axis=1)
+        rows = predictive_entropy(probs)
+        assert rows.shape == (len(p1),)
+        assert [repr(h) for h in rows.tolist()] == [repr(predictive_entropy(p)) for p in probs]
+
+    def test_rows_checked(self):
+        with pytest.raises(DomainError):
+            predictive_entropy([[0.5, 0.5], [0.4, 0.4]])
+        with pytest.raises(DomainError):
+            predictive_entropy([[0.5, 0.5], [-0.1, 1.1]])
+
 
 class TestConfusionAndReport:
     def test_confusion_layout(self):

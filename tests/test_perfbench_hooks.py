@@ -72,5 +72,8 @@ def test_traced_run_matches_untraced(spans, kind):
         patches.restore()
     assert traced == untraced
     assert tracer.train_steps[kind] == 1
+    # a predict_batch that delegated to a wrapped super().predict_batch
+    # would be counted twice
+    assert tracer.predict_calls[kind] == 1
     assert tracer.tape_nodes[kind] > 0
     assert tracer.infer_calls[kind] >= 1

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from urgentbayes import encoder as encoder_module
+from urgentbayes import mcd as mcd_module
 from urgentbayes import training
+from urgentbayes import vi as vi_module
 from urgentbayes.autodiff import Parameter, RngStream, backward
 from urgentbayes.checkpoint import (
     FORMAT_VERSION,
@@ -82,6 +85,8 @@ class TestTrainConfig:
         [
             dict(learning_rate=0.0),
             dict(learning_rate=-1.0),
+            dict(learning_rate=math.inf),
+            dict(learning_rate=math.nan),
             dict(batch_size=0),
             dict(epochs=-1),
             dict(model_kind="rnn"),
@@ -482,6 +487,21 @@ class TestEvaluate:
             assert report.n_test == 8
             assert 0.0 <= report.mean_entropy <= math.log(2) + 1e-12
 
+    @pytest.mark.parametrize("kind", ["base", "mcd", "vi"])
+    def test_one_aggregation_per_predict_batch(self, monkeypatch, kind):
+        blocks = []
+        for module in (encoder_module, mcd_module, vi_module):
+            def counting(block, original=module.aggregate_logit_samples):
+                blocks.append(block.shape)
+                return original(block)
+            monkeypatch.setattr(module, "aggregate_logit_samples", counting)
+        model = tiny_model(kind)
+        ids, lengths, _ = training._stack(toy_split(n=5))
+        dists = model.predict_batch(ids, lengths, RngStream(12))
+        m = 1 if kind == "base" else model.cfg.num_samples if kind == "mcd" else model.cfg.m_test
+        assert blocks == [(m, 5, 2)]
+        assert len(dists) == 5
+
     def test_mean_entropy_is_average(self):
         y = [0, 1]
         examples = [LabeledExample(np.zeros(4, dtype=np.int64), 1, v) for v in y]
@@ -650,6 +670,10 @@ class TestCheckpoint:
             ("mcd", "aggregate", "median"),
             ("mcd", "dropout_rate", 1.5),
             ("vi", "z_dim", 7),
+            ("mcd", "num_samples", 2.5),
+            ("vi", "m_test", 2.5),
+            ("hyperparams", "max_len", 2.5),
+            ("hyperparams", "hidden_dim", True),
         ],
     )
     def test_bad_header_value_is_checkpoint_error(self, tmp_path, edit_header, section, key, value):

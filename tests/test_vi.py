@@ -64,6 +64,12 @@ class TestConfig:
             ViConfig(m_test=0).validate()
         with pytest.raises(ConfigurationError):
             ViConfig(kl_weight=-0.5).validate()
+        for bad in (dict(m_test=2.5), dict(m_train=True), dict(z_dim=3.0)):
+            with pytest.raises(ConfigurationError, match="must be a positive integer"):
+                ViConfig(**bad).validate()
+        for weight in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="kl_weight"):
+                ViConfig(kl_weight=weight).validate()
 
     def test_z_dim_must_match_architecture(self):
         hp = tiny_hp()
@@ -450,6 +456,23 @@ class TestViPrediction:
         model.cfg.m_test = 20
         dist = model.predict_batch(ids, lengths, rng)[0]
         assert (np.abs(dist.mean_logits - mean_big) <= 3 * se + 1e-12).all()
+
+    def test_sample_subset_equals_full_range_rows(self):
+        model = tiny_vi(seed=42)
+        ids = np.array([[2, 3, 4, 0, 0, 0], [5, 6, 7, 8, 9, 2], [3, 0, 0, 0, 0, 0]])
+        lengths = np.array([3, 6, 1])
+        full = model.sample_logits(ids, lengths, RngStream(43), range(model.cfg.m_test))
+        assert full.shape == (model.cfg.m_test, 3, 2)
+        for subset in ([17, 3, 4, 0], [9]):
+            part = model.sample_logits(ids, lengths, RngStream(43), subset)
+            assert part.tobytes() == full[subset].tobytes()
+
+    def test_predict_batch_aggregates_sample_logits(self):
+        model = tiny_vi(seed=44)
+        ids, lengths = np.array([[2, 3, 4, 0, 0, 0], [5, 6, 0, 0, 0, 0]]), np.array([3, 2])
+        block = model.sample_logits(ids, lengths, RngStream(45), range(model.cfg.m_test))
+        for i, dist in enumerate(model.predict_batch(ids, lengths, RngStream(45))):
+            assert dist.per_sample_logits.tobytes() == block[:, i].tobytes()
 
     def test_prediction_requires_stream(self):
         model = tiny_vi(seed=41)
