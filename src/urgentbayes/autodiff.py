@@ -207,7 +207,7 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True)
         self.data = np.ascontiguousarray(self.data)
         self.name = name
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros(self.data.shape)  # lazily mapped until first written
 
     def zero_grad(self):
         self.grad[...] = 0.0

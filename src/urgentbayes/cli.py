@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .corpus import (
     save_vocabulary,
     tokenize,
 )
+from .encoder import MODEL_KINDS
 from .errors import (
     CheckpointError,
     ConfigurationError,
@@ -45,7 +47,7 @@ from .errors import (
     StratificationError,
     UsageError,
 )
-from .experiments import ExperimentPlan, run_experiment
+from .experiments import PROTOCOLS, ExperimentPlan, run_experiment
 from .gradchecks import format_checks, run_all
 from .training import build_model, evaluate, train
 
@@ -90,10 +92,10 @@ def _resolve(flag_value: str | None, config_value: str, what: str) -> str:
 def _embeddings(cfg: RunConfig, vocab, seed: int):
     if cfg.embeddings_path:
         return load_pretrained_embeddings(
-            cfg.embeddings_path, vocab, d=cfg.embed_dim,
+            cfg.embeddings_path, vocab, d=cfg.hp.embed_dim,
             rng=RngStream(seed).child("embeddings"),
         )
-    return random_embeddings(vocab, d=cfg.embed_dim, rng=RngStream(seed).child("embeddings"))
+    return random_embeddings(vocab, d=cfg.hp.embed_dim, rng=RngStream(seed).child("embeddings"))
 
 
 def _print_json(payload) -> None:
@@ -105,12 +107,12 @@ def cmd_prepare(args) -> int:
     if args.min_freq is not None:
         cfg.min_frequency = args.min_freq
     if args.max_len is not None:
-        cfg.max_len = args.max_len
+        cfg.hp.max_len = args.max_len
     cfg.validate()
     posts = load_posts(args.data)
     token_lists = [tokenize(p.text) for p in posts]
     vocab = build_vocabulary(token_lists, min_frequency=cfg.min_frequency)
-    examples = examples_from_posts(posts, vocab, max_len=cfg.max_len)
+    examples = examples_from_posts(posts, vocab, max_len=cfg.hp.max_len)
 
     os.makedirs(args.out, exist_ok=True)
     vocab_path = os.path.join(args.out, "vocab.txt")
@@ -128,7 +130,7 @@ def cmd_prepare(args) -> int:
         "class_counts": counts,
         "vocab_size": len(vocab),
         "token_coverage": (known / total_tokens) if total_tokens else 0.0,
-        "max_len": cfg.max_len,
+        "max_len": cfg.hp.max_len,
         "min_frequency": cfg.min_frequency,
         "vocab_path": vocab_path,
         "dataset_path": dataset_path,
@@ -152,13 +154,14 @@ def cmd_train(args) -> int:
 
     examples = load_dataset(data_path)
     vocab = load_vocabulary(vocab_path)
-    hp = cfg.hyperparams()
     emb = _embeddings(cfg, vocab, args.seed)
     model = build_model(
-        hp, emb.matrix, args.model, _derive_seed(args.seed, "model"),
-        mcd_cfg=cfg.mcd_config(), vi_cfg=cfg.vi_config(),
+        cfg.hp, emb.matrix, args.model, _derive_seed(args.seed, "model"),
+        mcd_cfg=cfg.mcd_cfg, vi_cfg=cfg.vi_cfg,
     )
-    train_cfg = cfg.train_config(args.model, _derive_seed(args.seed, "train"))
+    train_cfg = replace(
+        cfg.train_cfg, model_kind=args.model, seed=_derive_seed(args.seed, "train")
+    )
     result = train(model, examples, train_cfg)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -205,10 +208,10 @@ def cmd_experiment(args) -> int:
         n_runs=args.runs,
         model_kinds=kinds,
         seed=args.seed,
-        hp=cfg.hyperparams(),
-        train_cfg=cfg.train_config(kinds[0] if kinds else "base", args.seed),
-        mcd_cfg=cfg.mcd_config(),
-        vi_cfg=cfg.vi_config(),
+        hp=cfg.hp,
+        train_cfg=cfg.train_cfg,
+        mcd_cfg=cfg.mcd_cfg,
+        vi_cfg=cfg.vi_cfg,
     )
     summary = run_experiment(examples, emb.matrix, plan)
     text = summary.to_json()
@@ -272,7 +275,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train one model kind")
-    p.add_argument("--model", required=True, choices=("base", "mcd", "vi"))
+    p.add_argument("--model", required=True, choices=MODEL_KINDS)
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data", default=None, help="encoded dataset (.npz)")
@@ -287,7 +290,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("experiment", help="run a multi-seed protocol")
-    p.add_argument("--protocol", required=True, choices=("80_20", "40_60"))
+    p.add_argument("--protocol", required=True, choices=tuple(PROTOCOLS))
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--models", default="base,mcd,vi")
     p.add_argument("--config", default=None)

@@ -2,16 +2,17 @@
 
 One `key = value` per line, `#` starts a comment, blank lines ignored.
 Unknown and duplicate keys are rejected so a typo cannot silently fall
-back to a default. Every key has a documented default; the effective
-(fully resolved) configuration is echoed next to any output a command
-writes.
+back to a default. Each key sets a field of one of the section configs
+(`HyperParams`, `TrainConfig`, `McdConfig`, `ViConfig`), which hold its
+default, type and checks; the effective (fully resolved) configuration
+is echoed next to any output a command writes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
-from .encoder import ATTENTION_MODES, HyperParams
+from .encoder import HyperParams
 from .errors import ConfigurationError
 from .mcd import McdConfig
 from .training import TrainConfig
@@ -20,23 +21,10 @@ from .vi import ViConfig
 
 @dataclass
 class RunConfig:
-    # architecture
-    max_len: int = 128
-    embed_dim: int = 300
-    hidden_dim: int = 128
-    attention_mode: str = "softmax"
-    z_dim: int = 16
-    # training
-    learning_rate: float = 1e-3
-    batch_size: int = 64
-    epochs: int = 20
-    gradient_clip_norm: float | None = 5.0
-    # sampling
-    dropout_rate: float = 0.3
-    mcd_samples: int = 50
-    vi_train_samples: int = 1
-    vi_test_samples: int = 20
-    kl_weight: float = 1.0
+    hp: HyperParams = field(default_factory=HyperParams)
+    train_cfg: TrainConfig = field(default_factory=TrainConfig)
+    mcd_cfg: McdConfig = field(default_factory=McdConfig)
+    vi_cfg: ViConfig = field(default_factory=ViConfig)
     # corpus
     min_frequency: int = 2
     # paths (empty string = not set; flags may override)
@@ -46,84 +34,67 @@ class RunConfig:
     out_dir: str = ""
 
     def validate(self) -> None:
-        self.hyperparams().validate()
-        self.train_config("base", 0).validate()
-        self.mcd_config().validate()
-        self.vi_config().validate()
+        self.hp.validate()
+        self.train_cfg.validate()
+        self.mcd_cfg.validate()
+        self.vi_cfg.validate()
         if self.min_frequency < 1:
             raise ConfigurationError("min_frequency must be at least 1")
-
-    def hyperparams(self) -> HyperParams:
-        return HyperParams(
-            max_len=self.max_len,
-            embed_dim=self.embed_dim,
-            hidden_dim=self.hidden_dim,
-            attention_mode=self.attention_mode,
-            z_dim=self.z_dim,
-        )
-
-    def train_config(self, model_kind: str, seed: int) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            seed=seed,
-            model_kind=model_kind,
-            gradient_clip_norm=self.gradient_clip_norm,
-        )
-
-    def mcd_config(self) -> McdConfig:
-        return McdConfig(dropout_rate=self.dropout_rate, num_samples=self.mcd_samples)
-
-    def vi_config(self) -> ViConfig:
-        return ViConfig(
-            z_dim=self.z_dim,
-            m_train=self.vi_train_samples,
-            m_test=self.vi_test_samples,
-            kl_weight=self.kl_weight,
-        )
 
     def effective_text(self) -> str:
         """The fully resolved configuration, echo-ready. Unset path
         keys (empty strings) are omitted so the text re-parses."""
         lines = ["# effective configuration"]
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for key in _KEYS:
+            value = getattr(*_targets(self, key)[0])
             if value == "":
                 continue
-            lines.append(f"{f.name} = {_render(value)}")
+            lines.append(f"{key} = {'none' if value is None else value}")
         return "\n".join(lines) + "\n"
 
 
-def _render(value) -> str:
-    if value is None:
-        return "none"
-    return str(value)
+# Every file key, in echo order, with the fields it sets: "section.field",
+# or a bare name for a field of RunConfig itself.
+_KEYS = {
+    "max_len": ("hp.max_len",),
+    "embed_dim": ("hp.embed_dim",),
+    "hidden_dim": ("hp.hidden_dim",),
+    "attention_mode": ("hp.attention_mode",),
+    "z_dim": ("hp.z_dim", "vi_cfg.z_dim"),
+    "learning_rate": ("train_cfg.learning_rate",),
+    "batch_size": ("train_cfg.batch_size",),
+    "epochs": ("train_cfg.epochs",),
+    "gradient_clip_norm": ("train_cfg.gradient_clip_norm",),
+    "dropout_rate": ("mcd_cfg.dropout_rate",),
+    "mcd_samples": ("mcd_cfg.num_samples",),
+    "vi_train_samples": ("vi_cfg.m_train",),
+    "vi_test_samples": ("vi_cfg.m_test",),
+    "kl_weight": ("vi_cfg.kl_weight",),
+    "min_frequency": ("min_frequency",),
+    "train_data": ("train_data",),
+    "vocab_path": ("vocab_path",),
+    "embeddings_path": ("embeddings_path",),
+    "out_dir": ("out_dir",),
+}
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+def _targets(cfg: RunConfig, key: str) -> list[tuple[object, str]]:
+    """The (owner, attribute) pairs that file key `key` sets on `cfg`."""
+    splits = [path.rpartition(".") for path in _KEYS[key]]
+    return [(getattr(cfg, section) if section else cfg, name) for section, _, name in splits]
 
 
-def _parse_value(key: str, raw: str, line_no: int):
-    kind = _FIELD_TYPES[key]
-    if key == "gradient_clip_norm":
-        if raw.lower() == "none":
-            return None
-        kind = "float"
+def _parse_value(key: str, raw: str, kind: type, line_no: int):
+    if kind is str:
+        return raw
+    if key == "gradient_clip_norm" and raw.lower() == "none":
+        return None
     try:
-        if kind == "int":
-            return int(raw)
-        if kind in ("float", "float | None"):
-            return float(raw)
+        return kind(raw)
     except ValueError:
         raise ConfigurationError(
-            f"line {line_no}: value for {key!r} must be a {kind}, got {raw!r}"
+            f"line {line_no}: value for {key!r} must be a {kind.__name__}, got {raw!r}"
         ) from None
-    if key == "attention_mode" and raw not in ATTENTION_MODES:
-        raise ConfigurationError(
-            f"line {line_no}: attention_mode must be one of {ATTENTION_MODES}, got {raw!r}"
-        )
-    return raw
 
 
 def parse_config(text: str) -> RunConfig:
@@ -140,14 +111,19 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _KEYS:
             raise ConfigurationError(f"line {line_no}: unknown key {key!r}")
         if key in seen:
             raise ConfigurationError(f"line {line_no}: duplicate key {key!r}")
         if not value:
             raise ConfigurationError(f"line {line_no}: empty value for {key!r}")
         seen.add(key)
-        setattr(cfg, key, _parse_value(key, value, line_no))
+        targets = _targets(cfg, key)
+        # a key is set once, so its field still holds the default, whose
+        # type is the key's type
+        parsed = _parse_value(key, value, type(getattr(*targets[0])), line_no)
+        for owner, name in targets:
+            setattr(owner, name, parsed)
     cfg.validate()
     return cfg
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import RngStream
 from .corpus import LabeledExample, stratified_split
-from .encoder import MODEL_KINDS, HyperParams
+from .encoder import MODEL_KINDS, HyperParams, require_counts
 from .errors import ConfigurationError, InsufficientDataError
 from .mcd import McdConfig
 from .metrics import (
@@ -75,8 +75,7 @@ class ExperimentPlan:
             raise ConfigurationError(
                 f"protocol must be one of {sorted(PROTOCOLS)}, got {self.protocol!r}"
             )
-        if self.n_runs < 1:
-            raise ConfigurationError("n_runs must be at least 1")
+        require_counts(self, ("n_runs",))
         if not self.model_kinds:
             raise ConfigurationError("at least one model kind is required")
         for kind in self.model_kinds:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import Parameter, RngStream, _check_finite, backward
 from .corpus import LabeledExample
-from .encoder import MODEL_KINDS, BaseClassifier, HyperParams
+from .encoder import MODEL_KINDS, BaseClassifier, HyperParams, require_counts
 from .errors import (
     ConfigurationError,
     DataError,
@@ -44,10 +44,12 @@ class TrainConfig:
     def validate(self) -> None:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigurationError("learning_rate must be finite and positive")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be a positive integer")
-        if self.epochs < 0:
-            raise ConfigurationError("epochs must not be negative")
+        require_counts(self, ("batch_size",))
+        if (isinstance(self.epochs, bool) or not isinstance(self.epochs, (int, np.integer))
+                or self.epochs < 0):
+            raise ConfigurationError(
+                f"epochs must be a non-negative integer, got {self.epochs!r}"
+            )
         if self.model_kind not in MODEL_KINDS:
             raise ConfigurationError(
                 f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}"
@@ -297,7 +299,5 @@ def train_accuracy(model: BaseClassifier, examples: list[LabeledExample]) -> flo
         raise UsageError("no examples")
     ids, lengths, labels = _stack(examples)
     logits = model.infer_logits(ids, lengths)
-    predictions = np.argmax(logits, axis=1)
-    ties = logits[:, 0] == logits[:, 1]
-    predictions[ties] = 0
+    predictions = np.argmax(logits, axis=1)  # a tie scores as label 0
     return float(np.mean(predictions == labels))

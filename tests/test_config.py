@@ -3,13 +3,43 @@
 import pytest
 
 from urgentbayes.config import RunConfig, load_config, parse_config
+from urgentbayes.encoder import HyperParams
 from urgentbayes.errors import ConfigurationError
+from urgentbayes.mcd import McdConfig
+from urgentbayes.training import TrainConfig
+from urgentbayes.vi import ViConfig
+
+EVERY_KEY = """\
+max_len = 12
+embed_dim = 6
+hidden_dim = 5
+attention_mode = ratio
+z_dim = 3
+learning_rate = 0.005
+batch_size = 8
+epochs = 3
+gradient_clip_norm = 2.5
+dropout_rate = 0.25
+mcd_samples = 7
+vi_train_samples = 2
+vi_test_samples = 6
+kl_weight = 0.5
+min_frequency = 1
+train_data = a.npz
+vocab_path = v.txt
+embeddings_path = e.txt
+out_dir = o
+"""
 
 
 class TestParse:
     def test_empty_text_gives_defaults(self):
         cfg = parse_config("")
         assert cfg == RunConfig()
+        assert cfg.hp == HyperParams()
+        assert cfg.train_cfg == TrainConfig()
+        assert cfg.mcd_cfg == McdConfig()
+        assert cfg.vi_cfg == ViConfig()
 
     def test_values_and_comments(self):
         cfg = parse_config(
@@ -22,11 +52,11 @@ class TestParse:
             epochs = 5
             """
         )
-        assert cfg.hidden_dim == 32
-        assert cfg.learning_rate == 0.01
-        assert cfg.attention_mode == "ratio"
-        assert cfg.epochs == 5
-        assert cfg.batch_size == 64  # untouched default
+        assert cfg.hp.hidden_dim == 32
+        assert cfg.train_cfg.learning_rate == 0.01
+        assert cfg.hp.attention_mode == "ratio"
+        assert cfg.train_cfg.epochs == 5
+        assert cfg.train_cfg.batch_size == 64  # untouched default
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown key"):
@@ -50,7 +80,7 @@ class TestParse:
 
     def test_clip_none(self):
         cfg = parse_config("gradient_clip_norm = none")
-        assert cfg.gradient_clip_norm is None
+        assert cfg.train_cfg.gradient_clip_norm is None
 
     def test_bad_attention_mode(self):
         with pytest.raises(ConfigurationError, match="attention_mode"):
@@ -84,13 +114,25 @@ class TestEffectiveEcho:
     def test_defaults_round_trip(self):
         assert parse_config(RunConfig().effective_text()) == RunConfig()
 
+    def test_every_key_echoes_in_file_order(self):
+        cfg = parse_config(EVERY_KEY)
+        assert cfg.effective_text() == "# effective configuration\n" + EVERY_KEY
+        assert parse_config(cfg.effective_text()) == cfg
+
+    def test_float_and_none_rendering(self):
+        cfg = parse_config("learning_rate = 2\nkl_weight = 1e-5\ngradient_clip_norm = NONE")
+        text = cfg.effective_text()
+        assert "\nlearning_rate = 2.0\n" in text
+        assert "\nkl_weight = 1e-05\n" in text
+        assert "\ngradient_clip_norm = none\n" in text
+
 
 class TestLoad:
     def test_from_file(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("epochs = 2\nhidden_dim = 8\n")
         cfg = load_config(str(p))
-        assert cfg.epochs == 2 and cfg.hidden_dim == 8
+        assert cfg.train_cfg.epochs == 2 and cfg.hp.hidden_dim == 8
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):
@@ -98,9 +140,11 @@ class TestLoad:
 
     def test_derived_configs(self):
         cfg = parse_config("z_dim = 4\ndropout_rate = 0.2\nvi_test_samples = 7")
-        assert cfg.hyperparams().z_dim == 4
-        assert cfg.mcd_config().dropout_rate == 0.2
-        vi = cfg.vi_config()
+        # the one z_dim key sets the latent size of both sections that hold it
+        assert cfg.hp.z_dim == 4
+        assert cfg.mcd_cfg.dropout_rate == 0.2
+        vi = cfg.vi_cfg
         assert vi.m_test == 7 and vi.z_dim == 4
-        tc = cfg.train_config("mcd", 11)
-        assert tc.model_kind == "mcd" and tc.seed == 11
+        # commands set these per run; the file leaves them at their defaults
+        tc = cfg.train_cfg
+        assert tc.model_kind == "base" and tc.seed == 0

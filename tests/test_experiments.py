@@ -74,6 +74,8 @@ class TestPlanValidation:
             dict(model_kinds=()),
             dict(model_kinds=("base", "base")),
             dict(model_kinds=("transformer",)),
+            dict(n_runs=2.5),
+            dict(n_runs=True),
         ],
     )
     def test_rejects(self, kwargs):

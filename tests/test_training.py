@@ -91,6 +91,10 @@ class TestTrainConfig:
             dict(epochs=-1),
             dict(model_kind="rnn"),
             dict(gradient_clip_norm=0.0),
+            dict(batch_size=2.5),
+            dict(batch_size=True),
+            dict(epochs=1.5),
+            dict(epochs=True),
         ],
     )
     def test_rejects(self, kwargs):
@@ -261,6 +265,17 @@ class TestTrainLoop:
         split = toy_split(n=16, seed=4)
         train(model, split, TrainConfig(learning_rate=1e-2, epochs=60, batch_size=16))
         assert train_accuracy(model, split) == 1.0
+
+    def test_train_accuracy_scores_a_tie_as_label_0(self):
+        model = tiny_model(seed=4)
+        params = {p.name: p for p in model.parameters()}
+        params["head.weight"].data[:, 1] = params["head.weight"].data[:, 0]
+        params["head.bias"].data[:] = 0.25
+        split = toy_split(n=12, seed=4)
+        logits = model.infer_logits(*training._stack(split)[:2])
+        assert np.array_equal(logits[:, 0], logits[:, 1])
+        labels = np.array([ex.label for ex in split])
+        assert train_accuracy(model, split) == np.mean(labels == 0) == 0.5
 
     @pytest.mark.parametrize("clip", [5.0, None])
     def test_non_finite_gradient_aborts_before_the_update(self, monkeypatch, clip):
