@@ -339,6 +339,11 @@ class RngStream:
         return f"RngStream(seed={self.seed}, key={self.key})"
 
 
+def derive_seed(root, *key):
+    """An integer seed in [0, 2**63) for a subsystem, drawn from (root, key)."""
+    return int(RngStream(root).child(*key).generator().integers(0, 2**63))
+
+
 # -- operations ----------------------------------------------------------
 
 def affine(x, weight, bias):

@@ -12,6 +12,7 @@ name or shape that disagrees with the model rebuilt from the header.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -144,11 +145,15 @@ def load_checkpoint(path: str) -> CheckpointData:
         name = r.take(r.u32()).decode("utf-8")
         ndim = r.u32()
         shape = tuple(r.u64() for _ in range(ndim))
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        values = np.frombuffer(r.take(count * 8), dtype="<f8")
+        values = np.frombuffer(r.take(math.prod(shape) * 8), dtype="<f8")
         if name in params:
             raise CheckpointError(f"{path}: duplicate parameter block {name!r}")
-        params[name] = values.reshape(shape).astype(np.float64)
+        try:
+            params[name] = values.reshape(shape).astype(np.float64)
+        except ValueError as exc:
+            raise CheckpointError(
+                f"{path}: block {name!r} has impossible shape {shape}: {exc}"
+            ) from exc
     if r.pos != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after last block")
 

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .autodiff import RngStream
+from .autodiff import RngStream, derive_seed
 from .checkpoint import load_checkpoint, restore_model, save_checkpoint
 from .config import RunConfig, load_config
 from .corpus import (
@@ -74,10 +74,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _derive_seed(root: int, domain: str) -> int:
-    return int(RngStream(root).child(domain).generator().integers(0, 2**63))
-
-
 def _load_run_config(path: str | None) -> RunConfig:
     return load_config(path) if path else RunConfig()
 
@@ -98,6 +94,14 @@ def _embeddings(cfg: RunConfig, vocab, seed: int):
     return random_embeddings(vocab, d=cfg.hp.embed_dim, rng=RngStream(seed).child("embeddings"))
 
 
+def _make_out_dir(path: str) -> None:
+    """Create an output directory before any work that would write into it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {path}: {exc}") from exc
+
+
 def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -109,12 +113,12 @@ def cmd_prepare(args) -> int:
     if args.max_len is not None:
         cfg.hp.max_len = args.max_len
     cfg.validate()
+    _make_out_dir(args.out)
     posts = load_posts(args.data)
     token_lists = [tokenize(p.text) for p in posts]
     vocab = build_vocabulary(token_lists, min_frequency=cfg.min_frequency)
     examples = examples_from_posts(posts, vocab, max_len=cfg.hp.max_len)
 
-    os.makedirs(args.out, exist_ok=True)
     vocab_path = os.path.join(args.out, "vocab.txt")
     dataset_path = os.path.join(args.out, "dataset.npz")
     save_vocabulary(vocab, vocab_path)
@@ -151,20 +155,20 @@ def cmd_train(args) -> int:
     data_path = _resolve(args.data, cfg.train_data, "training data path")
     vocab_path = _resolve(args.vocab, cfg.vocab_path, "vocabulary path")
     out_dir = _resolve(args.out, cfg.out_dir, "output directory")
+    _make_out_dir(out_dir)
 
     examples = load_dataset(data_path)
     vocab = load_vocabulary(vocab_path)
     emb = _embeddings(cfg, vocab, args.seed)
     model = build_model(
-        cfg.hp, emb.matrix, args.model, _derive_seed(args.seed, "model"),
+        cfg.hp, emb.matrix, args.model, derive_seed(args.seed, "model"),
         mcd_cfg=cfg.mcd_cfg, vi_cfg=cfg.vi_cfg,
     )
     train_cfg = replace(
-        cfg.train_cfg, model_kind=args.model, seed=_derive_seed(args.seed, "train")
+        cfg.train_cfg, model_kind=args.model, seed=derive_seed(args.seed, "train")
     )
     result = train(model, examples, train_cfg)
 
-    os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, f"model_{args.model}.ckpt")
     save_checkpoint(ckpt_path, model, vocab.id_to_token)
     trace = [
@@ -199,6 +203,8 @@ def cmd_experiment(args) -> int:
     cfg = _load_run_config(args.config)
     data_path = _resolve(args.data, cfg.train_data, "data path")
     vocab_path = _resolve(args.vocab, cfg.vocab_path, "vocabulary path")
+    if args.out:
+        _make_out_dir(args.out)
     examples = load_dataset(data_path)
     vocab = load_vocabulary(vocab_path)
     emb = _embeddings(cfg, vocab, args.seed)
@@ -216,7 +222,6 @@ def cmd_experiment(args) -> int:
     summary = run_experiment(examples, emb.matrix, plan)
     text = summary.to_json()
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(
             os.path.join(args.out, "experiment_summary.json"), "w", encoding="utf-8"
         ) as f:

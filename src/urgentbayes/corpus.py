@@ -248,7 +248,8 @@ def load_pretrained_embeddings(path, vocab, d=300, rng=None):
 
 def stratified_split(examples, train_fraction, seed):
     """Split preserving class proportions: each class contributes
-    round(train_fraction * class_count) examples to train, shuffled by seed."""
+    round(train_fraction * class_count) examples to train, shuffled by seed.
+    A class that this count would leave out of either split is an error."""
     if not 0.0 < train_fraction < 1.0:
         raise ConfigurationError(f"train_fraction must be in (0, 1), got {train_fraction}")
     by_label = {}
@@ -258,15 +259,18 @@ def stratified_split(examples, train_fraction, seed):
         raise StratificationError(
             f"need both classes to stratify, found labels {sorted(by_label)}"
         )
-    for label, members in sorted(by_label.items()):
-        if len(members) < 2:
-            raise StratificationError(f"class {label} has {len(members)} member(s), need >= 2")
     gen = np.random.default_rng(seed)
     train, test = [], []
     for label in sorted(by_label):
         members = by_label[label]
         order = gen.permutation(len(members))
         n_train = round(train_fraction * len(members))
+        if not 0 < n_train < len(members):
+            side = "train" if n_train == 0 else "test"
+            raise StratificationError(
+                f"class {label} has {len(members)} member(s): a {train_fraction} split "
+                f"leaves the {side} split without it"
+            )
         for i, idx in enumerate(order):
             (train if i < n_train else test).append(members[idx])
     return train, test

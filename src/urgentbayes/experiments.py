@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import RngStream
+from .autodiff import RngStream, derive_seed
 from .corpus import LabeledExample, stratified_split
 from .encoder import MODEL_KINDS, HyperParams, require_counts
 from .errors import ConfigurationError, InsufficientDataError
@@ -150,11 +150,6 @@ class ExperimentSummary:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _run_seed(plan: ExperimentPlan, domain: str, run: int) -> int:
-    gen = RngStream(plan.seed).child(domain, run).generator()
-    return int(gen.integers(0, 2**63))
-
-
 def _compare(reports: dict[str, list[MetricsReport]], kinds) -> list[dict]:
     out = []
     for i, a in enumerate(kinds):
@@ -192,8 +187,8 @@ def run_experiment(
         train_split, test_split = stratified_split(
             examples, fraction, (plan.seed, run)
         )
-        model_seed = _run_seed(plan, "model", run)
-        train_seed = _run_seed(plan, "train", run)
+        model_seed = derive_seed(plan.seed, "model", run)
+        train_seed = derive_seed(plan.seed, "train", run)
         for kind in plan.model_kinds:
             model = build_model(
                 plan.hp, embedding_matrix, kind, model_seed,

@@ -60,19 +60,12 @@ class McdClassifier(BaseClassifier):
         cfg.validate()
         self.cfg = cfg
 
-    def _mask_shapes(self, n_rows):
-        h = self.hp.hidden_dim
-        return {
-            AFTER_LAYER_1: (n_rows, h),
-            AFTER_LAYER_2: (n_rows, h),
-            PREDICTION_INPUT: (n_rows, 2 * h),
-        }
-
     def _draw_masks(self, rng, n_rows):
-        rate = self.cfg.dropout_rate
+        rate, h = self.cfg.dropout_rate, self.hp.hidden_dim
+        widths = {AFTER_LAYER_1: h, AFTER_LAYER_2: h, PREDICTION_INPUT: 2 * h}
         masks = {}
-        for placement, shape in self._mask_shapes(n_rows).items():
-            keep = rng.child(placement).generator().random(shape) >= rate
+        for placement, width in widths.items():
+            keep = rng.child(placement).generator().random((n_rows, width)) >= rate
             masks[placement] = keep / (1.0 - rate)
         return masks
 

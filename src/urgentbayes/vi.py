@@ -10,7 +10,7 @@ deterministic forward is the shared one; its `_head` pins z at the prior mean.""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,13 +55,17 @@ class GaussianDiag:
 
 @dataclass
 class ViHeads:
-    label_weight: Parameter      # (1, z_dim): embeds the scalar label
-    label_bias: Parameter        # (z_dim,)
-    post_hidden_weight: Parameter   # (hidden + z_dim, hidden)
-    post_hidden_bias: Parameter     # (hidden,)
-    prior_hidden_weight: Parameter  # (hidden, hidden)
-    prior_hidden_bias: Parameter    # (hidden,)
-    post_mu_weight: Parameter       # (hidden, z_dim)
+    """The eight affine maps of `init_vi_heads`, a weight and a bias each.
+    Field order is parameter order: the checkpoint's block order and the
+    order in which gradient clipping sums squares."""
+
+    label_weight: Parameter
+    label_bias: Parameter
+    post_hidden_weight: Parameter
+    post_hidden_bias: Parameter
+    prior_hidden_weight: Parameter
+    prior_hidden_bias: Parameter
+    post_mu_weight: Parameter
     post_mu_bias: Parameter
     post_log_sigma_weight: Parameter
     post_log_sigma_bias: Parameter
@@ -69,77 +73,59 @@ class ViHeads:
     prior_mu_bias: Parameter
     prior_log_sigma_weight: Parameter
     prior_log_sigma_bias: Parameter
-    recon_weight: Parameter      # (z_dim + 2*hidden, 2)
-    recon_bias: Parameter        # (2,)
+    recon_weight: Parameter
+    recon_bias: Parameter
 
     def parameters(self):
-        return [
-            self.label_weight, self.label_bias,
-            self.post_hidden_weight, self.post_hidden_bias,
-            self.prior_hidden_weight, self.prior_hidden_bias,
-            self.post_mu_weight, self.post_mu_bias,
-            self.post_log_sigma_weight, self.post_log_sigma_bias,
-            self.prior_mu_weight, self.prior_mu_bias,
-            self.prior_log_sigma_weight, self.prior_log_sigma_bias,
-            self.recon_weight, self.recon_bias,
-        ]
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def map(self, key):
+        """(weight, bias) of the affine map named `key`."""
+        return getattr(self, f"{key}_weight"), getattr(self, f"{key}_bias")
 
 
 def init_vi_heads(hidden_dim, z_dim, rng):
+    """The eight affine maps, key -> (fan-in, width), in parameter order;
+    each weight is drawn from rng.child(key) and each bias starts at zero."""
     h, z = hidden_dim, z_dim
+    maps = {
+        "label": (1, z),
+        "post_hidden": (h + z, h),
+        "prior_hidden": (h, h),
+        "post_mu": (h, z),
+        "post_log_sigma": (h, z),
+        "prior_mu": (h, z),
+        "prior_log_sigma": (h, z),
+        "recon": (z + 2 * h, NUM_CLASSES),
+    }
+    params = {}
+    for key, (fan_in, width) in maps.items():
+        weight = _uniform_init(rng.child(key), (fan_in, width), fan_in)
+        params[f"{key}_weight"] = Parameter(weight, f"heads.{key}.weight")
+        params[f"{key}_bias"] = Parameter(np.zeros(width), f"heads.{key}.bias")
+    return ViHeads(**params)
 
-    def make(child, shape, fan_in, name):
-        return Parameter(_uniform_init(rng.child(child), shape, fan_in), f"heads.{name}")
 
-    def zero(shape, name):
-        return Parameter(np.zeros(shape), f"heads.{name}")
-
-    return ViHeads(
-        label_weight=make("label", (1, z), 1, "label.weight"),
-        label_bias=zero(z, "label.bias"),
-        post_hidden_weight=make("post_hidden", (h + z, h), h + z, "post_hidden.weight"),
-        post_hidden_bias=zero(h, "post_hidden.bias"),
-        prior_hidden_weight=make("prior_hidden", (h, h), h, "prior_hidden.weight"),
-        prior_hidden_bias=zero(h, "prior_hidden.bias"),
-        post_mu_weight=make("post_mu", (h, z), h, "post_mu.weight"),
-        post_mu_bias=zero(z, "post_mu.bias"),
-        post_log_sigma_weight=make("post_log_sigma", (h, z), h, "post_log_sigma.weight"),
-        post_log_sigma_bias=zero(z, "post_log_sigma.bias"),
-        prior_mu_weight=make("prior_mu", (h, z), h, "prior_mu.weight"),
-        prior_mu_bias=zero(z, "prior_mu.bias"),
-        prior_log_sigma_weight=make("prior_log_sigma", (h, z), h, "prior_log_sigma.weight"),
-        prior_log_sigma_bias=zero(z, "prior_log_sigma.bias"),
-        recon_weight=make("recon", (z + 2 * h, NUM_CLASSES), z + 2 * h, "recon.weight"),
-        recon_bias=zero(NUM_CLASSES, "recon.bias"),
+def _gaussian_tower(inputs, heads, tower):
+    """A tanh hidden layer, then the mean and the clamped log-sigma maps."""
+    hidden = tanh_op(affine(inputs, *heads.map(f"{tower}_hidden")))
+    mu = affine(hidden, *heads.map(f"{tower}_mu"))
+    log_sigma = clip(
+        affine(hidden, *heads.map(f"{tower}_log_sigma")), -LOG_SIGMA_BOUND, LOG_SIGMA_BOUND
     )
+    return GaussianDiag(mu, log_sigma)
 
 
 def posterior_params(finals, labels, heads):
     """q(z | x, y): condition on the final state and the embedded label."""
     labels = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
-    y_emb = affine(Tensor(labels), heads.label_weight, heads.label_bias)
-    hidden = tanh_op(
-        affine(concat([finals, y_emb], axis=1), heads.post_hidden_weight, heads.post_hidden_bias)
-    )
-    mu = affine(hidden, heads.post_mu_weight, heads.post_mu_bias)
-    log_sigma = clip(
-        affine(hidden, heads.post_log_sigma_weight, heads.post_log_sigma_bias),
-        -LOG_SIGMA_BOUND,
-        LOG_SIGMA_BOUND,
-    )
-    return GaussianDiag(mu, log_sigma)
+    y_emb = affine(Tensor(labels), *heads.map("label"))
+    return _gaussian_tower(concat([finals, y_emb], axis=1), heads, "post")
 
 
 def prior_params(finals, heads):
     """p(z | x): no label path, by construction."""
-    hidden = tanh_op(affine(finals, heads.prior_hidden_weight, heads.prior_hidden_bias))
-    mu = affine(hidden, heads.prior_mu_weight, heads.prior_mu_bias)
-    log_sigma = clip(
-        affine(hidden, heads.prior_log_sigma_weight, heads.prior_log_sigma_bias),
-        -LOG_SIGMA_BOUND,
-        LOG_SIGMA_BOUND,
-    )
-    return GaussianDiag(mu, log_sigma)
+    return _gaussian_tower(finals, heads, "prior")
 
 
 def reparameterize(g, eps):
@@ -165,21 +151,24 @@ def kl_diag_gaussians(q, p):
 
 def _recon_logits(z, finals, contexts, heads):
     """Affine head on (z ⊕ final state ⊕ context), one row per example."""
-    return affine(concat([z, finals, contexts], axis=1), heads.recon_weight, heads.recon_bias)
+    return affine(concat([z, finals, contexts], axis=1), *heads.map("recon"))
+
+
+def _latent_logits(g, m, finals, contexts, heads, rng):
+    """Logits for latent sample m of g, its noise drawn from (rng, "eps", m)."""
+    eps = rng.child("eps", m).generator().standard_normal(g.mu.data.shape)
+    return _recon_logits(reparameterize(g, eps), finals, contexts, heads)
 
 
 def _elbo_parts(finals, contexts, labels, heads, cfg, rng):
     """Shared ELBO computation; returns (loss, reconstruction, kl) tensors."""
     labels = np.asarray(labels)
-    n = labels.shape[0]
     q = posterior_params(finals, labels, heads)
     p = prior_params(finals, heads)
     kl = kl_diag_gaussians(q, p).mean()
     recon = None
     for m in range(cfg.m_train):
-        eps = rng.child("eps", m).generator().standard_normal((n, cfg.z_dim))
-        z = reparameterize(q, eps)
-        ce = cross_entropy_from_logits(_recon_logits(z, finals, contexts, heads), labels)
+        ce = cross_entropy_from_logits(_latent_logits(q, m, finals, contexts, heads, rng), labels)
         recon = ce if recon is None else recon + ce
     recon = recon * (1.0 / cfg.m_train)
     return recon + kl * cfg.kl_weight, recon, kl
@@ -224,14 +213,12 @@ class ViClassifier(BaseClassifier):
         """(k, n, 2) logits, one conditional-prior sample per index, sample m's
         noise from (rng, "eps", m); the encoder runs once for all k."""
         finals, contexts = (Tensor(a) for a in self.infer_states(ids, lengths))
-        logits = []
         with no_grad():
             prior = prior_params(finals, self.heads)
-            for k in sample_indices:
-                eps = rng.child("eps", k).generator().standard_normal(prior.mu.data.shape)
-                z = reparameterize(prior, eps)
-                logits.append(_recon_logits(z, finals, contexts, self.heads).data)
-        return np.stack(logits)
+            return np.stack([
+                _latent_logits(prior, k, finals, contexts, self.heads, rng).data
+                for k in sample_indices
+            ])
 
     def predict_batch(self, ids, lengths, rng=None):
         """m_test latent samples from the conditional prior; labels play no

@@ -49,3 +49,32 @@ def _edit_blocks(path, edit):
 @pytest.fixture
 def edit_blocks():
     return _edit_blocks
+
+
+def _declare_first_shape(path, shape):
+    """Overwrites the dimensions declared by the first parameter block of
+    the checkpoint at `path` (a 2-d block) with `shape`; every other byte
+    is kept."""
+    with open(path, "rb") as f:
+        blob = bytearray(f.read())
+    start = len(MAGIC) + 4
+    (length,) = struct.unpack("<Q", blob[start : start + 8])
+    pos = start + 8 + length + 4  # past the header and the block count
+    (name_len,) = struct.unpack("<I", blob[pos : pos + 4])
+    pos += 4 + name_len
+    assert struct.unpack("<I", blob[pos : pos + 4]) == (2,)
+    blob[pos + 4 : pos + 20] = struct.pack("<QQ", *shape)
+    with open(path, "wb") as f:
+        f.write(bytes(blob))
+
+
+@pytest.fixture
+def declare_first_shape():
+    return _declare_first_shape
+
+
+@pytest.fixture(params=[(2**40, 2**40), (2**63, 2), (0, 2**62), (0, 2**63)], ids=str)
+def impossible_shape(request):
+    """A block shape no array can take: its element count overflows int64,
+    or a dimension or the byte size exceeds what numpy can build."""
+    return request.param

@@ -8,6 +8,7 @@ import pytest
 from urgentbayes import cli
 from urgentbayes.autodiff import GradCheckFailure, GradCheckReport
 from urgentbayes.cli import main
+from urgentbayes.corpus import LabeledExample, save_dataset
 from urgentbayes.gradchecks import NamedCheck
 from urgentbayes.synthetic import synthetic_posts, write_posts_csv
 
@@ -206,6 +207,21 @@ class TestEvaluate:
         assert "error" in err
 
 
+    def test_impossible_block_shape_is_data_error(
+        self, workspace, mcd_checkpoint, tmp_path, capsys, declare_first_shape, impossible_shape
+    ):
+        bad = tmp_path / "huge.ckpt"
+        bad.write_bytes(open(mcd_checkpoint, "rb").read())
+        declare_first_shape(str(bad), impossible_shape)
+        for argv in (
+            ["evaluate", "--checkpoint", str(bad), "--test", workspace["dataset"]],
+            ["predict", "--checkpoint", str(bad), "--text", "the quiz"],
+        ):
+            code, _, err = run_cli(capsys, argv)
+            assert code == 2
+            assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestExperiment:
     def run_exp(self, capsys, workspace, extra=()):
         return run_cli(
@@ -236,6 +252,20 @@ class TestExperiment:
         assert code == 0
         on_disk = (out_dir / "experiment_summary.json").read_text()
         assert on_disk == stdout.rstrip("\n")
+
+    @pytest.mark.parametrize("n0, n1, missing", [(2, 2, 0), (7, 2, 1)])
+    def test_split_missing_a_class_is_data_error(self, workspace, tmp_path, capsys, n0, n1, missing):
+        # at 0.8, 2 rounds to 2 of 2 in train: the test split would lack the class
+        labels = [0] * n0 + [1] * n1
+        data = tmp_path / "small.npz"
+        save_dataset(str(data), [LabeledExample(np.full(8, 2), 1, y) for y in labels])
+        code, _, err = run_cli(
+            capsys,
+            ["experiment", "--protocol", "80_20", "--runs", "1", "--models", "base",
+             "--config", workspace["cfg"], "--data", str(data), "--vocab", workspace["vocab"]],
+        )
+        assert code == 2
+        assert f"class {missing} has {labels.count(missing)} member(s)" in err
 
     def test_unknown_model_kind(self, workspace, capsys):
         code, _, err = run_cli(
@@ -352,6 +382,52 @@ class TestGradcheck:
         code, out, _ = run_cli(capsys, ["gradcheck"])
         assert code == 3
         assert "1/2 checks passed, 1 FAILED" in out
+
+
+class TestOutputIsAFile:
+    """An --out naming an existing file is a usage error, reported before
+    any data is loaded or any model trained."""
+
+    @pytest.fixture
+    def blocker(self, tmp_path):
+        path = tmp_path / "taken"
+        path.write_text("not a directory\n")
+        return str(path)
+
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train", refuse)
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+
+    def assert_usage_error(self, capsys, argv, blocker):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert err.startswith("error: cannot create output directory") and blocker in err
+
+    def test_prepare(self, workspace, capsys, blocker):
+        self.assert_usage_error(
+            capsys, ["prepare", "--data", workspace["csv"], "--out", blocker], blocker
+        )
+
+    def test_train(self, workspace, capsys, blocker, no_training):
+        self.assert_usage_error(
+            capsys,
+            ["train", "--model", "base", "--config", workspace["cfg"],
+             "--data", workspace["dataset"], "--vocab", workspace["vocab"], "--out", blocker],
+            blocker,
+        )
+
+    def test_experiment(self, workspace, capsys, blocker, no_training):
+        self.assert_usage_error(
+            capsys,
+            ["experiment", "--protocol", "80_20", "--runs", "1", "--models", "base",
+             "--config", workspace["cfg"], "--data", workspace["dataset"],
+             "--vocab", workspace["vocab"], "--out", blocker],
+            blocker,
+        )
 
 
 class TestUsageErrors:

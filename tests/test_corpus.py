@@ -335,6 +335,15 @@ class TestStratifiedSplit:
         with pytest.raises(StratificationError):
             stratified_split(_labeled(10, 1), 0.8, seed=0)
 
+    @pytest.mark.parametrize(
+        "n0, n1, fraction, label, side",
+        [(2, 2, 0.8, 0, "test"), (7, 2, 0.8, 1, "test"), (2, 9, 0.2, 0, "train")],
+    )
+    def test_class_left_out_of_a_split_rejected(self, n0, n1, fraction, label, side):
+        # round(0.8 * 2) = 2 puts every member in train; round(0.2 * 2) = 0 puts none
+        with pytest.raises(StratificationError, match=f"class {label} .* the {side} split"):
+            stratified_split(_labeled(n0, n1), fraction, seed=0)
+
     def test_fraction_validated(self):
         with pytest.raises(ConfigurationError):
             stratified_split(_labeled(4, 4), 1.0, seed=0)

@@ -549,9 +549,10 @@ class TestBuildModel:
             names = [p.name for p in tiny_model(kind).parameters()]
             assert names == trunk + ["head.weight", "head.bias"]
         names = [p.name for p in tiny_model("vi").parameters()]
-        assert names[: len(trunk)] == trunk
-        assert names[len(trunk) :] == [p.name for p in tiny_model("vi").heads.parameters()]
-        assert not any(name.startswith("head.") for name in names)
+        maps = ("label", "post_hidden", "prior_hidden", "post_mu", "post_log_sigma",
+                "prior_mu", "prior_log_sigma", "recon")
+        heads = [f"heads.{key}.{part}" for key in maps for part in ("weight", "bias")]
+        assert names == trunk + heads
 
     @pytest.mark.parametrize("kind", ["base", "mcd", "vi"])
     def test_every_parameter_gets_a_gradient(self, kind):
@@ -637,6 +638,15 @@ class TestCheckpoint:
         save_checkpoint(str(path), model, ["<pad>", "<unk>"])
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(str(path))
+
+    def test_impossible_block_shape(self, tmp_path, declare_first_shape, impossible_shape):
+        # the element count must not wrap: an oversized block reads as
+        # truncated, and a shape numpy cannot build is a checkpoint error
+        path = tmp_path / "huge.ckpt"
+        save_checkpoint(str(path), tiny_model(seed=20), ["<pad>", "<unk>"])
+        declare_first_shape(str(path), impossible_shape)
+        with pytest.raises(CheckpointError, match="truncated|impossible shape"):
             load_checkpoint(str(path))
 
     def test_shape_mismatch_on_restore(self, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate, stats
 
 from urgentbayes.autodiff import RngStream, Tensor, grad_check
-from urgentbayes.encoder import HyperParams
+from urgentbayes.encoder import HyperParams, _uniform_init
 from urgentbayes.errors import ConfigurationError, ShapeError, UsageError
 from urgentbayes.vi import (
     GaussianDiag,
@@ -260,6 +260,25 @@ class TestReconstruction:
         heads = init_vi_heads(128, 16, RngStream(16))
         assert heads.recon_weight.data.shape == (16 + 2 * 128, 2)
         assert heads.post_hidden_weight.data.shape == (128 + 16, 128)
+
+    @pytest.mark.parametrize("h, z", [(128, 16), (4, 3)])
+    def test_heads_drawn_per_map(self, h, z):
+        # each weight from its own child stream, uniform in +-1/sqrt(fan-in);
+        # each bias zero; names and parameter order as the maps are listed
+        maps = [
+            ("label", 1, z), ("post_hidden", h + z, h), ("prior_hidden", h, h),
+            ("post_mu", h, z), ("post_log_sigma", h, z), ("prior_mu", h, z),
+            ("prior_log_sigma", h, z), ("recon", z + 2 * h, 2),
+        ]
+        rng = RngStream(26).child("heads")
+        heads = init_vi_heads(h, z, rng)
+        params = heads.parameters()
+        assert len(params) == 2 * len(maps)
+        for (key, fan_in, width), weight, bias in zip(maps, params[0::2], params[1::2]):
+            assert (weight.name, bias.name) == (f"heads.{key}.weight", f"heads.{key}.bias")
+            expected = _uniform_init(rng.child(key), (fan_in, width), fan_in)
+            assert weight.data.tobytes() == expected.tobytes()
+            assert bias.data.shape == (width,) and not bias.data.any()
 
 
 class TestElbo:
