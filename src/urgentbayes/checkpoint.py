@@ -135,6 +135,8 @@ def load_checkpoint(path: str) -> CheckpointData:
         header = json.loads(r.take(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     for key in ("model_kind", "hyperparams", "vocab"):
         if key not in header:
             raise CheckpointError(f"{path}: header missing {key!r}")
@@ -142,7 +144,10 @@ def load_checkpoint(path: str) -> CheckpointData:
     n_params = r.u32()
     params: dict[str, np.ndarray] = {}
     for _ in range(n_params):
-        name = r.take(r.u32()).decode("utf-8")
+        try:
+            name = r.take(r.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: block name is not UTF-8: {exc}") from exc
         ndim = r.u32()
         shape = tuple(r.u64() for _ in range(ndim))
         values = np.frombuffer(r.take(math.prod(shape) * 8), dtype="<f8")

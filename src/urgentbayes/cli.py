@@ -3,8 +3,9 @@
 Subcommands: prepare, train, evaluate, experiment, predict, gradcheck.
 Every command is deterministic given its flags, config file, and the
 single root seed; all subsystem randomness derives from that seed.
-Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 numerical divergence (including gradient-check failure).
+Exit codes: 0 success; a package error prints one `error:` line and
+exits with the code its class declares (see `errors`); a failed
+gradient check exits with the numerical-divergence code.
 """
 
 from __future__ import annotations
@@ -34,39 +35,12 @@ from .corpus import (
     tokenize,
 )
 from .encoder import MODEL_KINDS
-from .errors import (
-    CheckpointError,
-    ConfigurationError,
-    DataError,
-    DivergenceError,
-    DomainError,
-    FormatError,
-    InsufficientDataError,
-    NonFiniteError,
-    ParseError,
-    StratificationError,
-    UsageError,
-)
+from .errors import DataError, DivergenceError, UrgentBayesError, UsageError
 from .experiments import PROTOCOLS, ExperimentPlan, run_experiment
 from .gradchecks import format_checks, run_all
 from .training import build_model, evaluate, train
 
 EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DATA = 2
-EXIT_NUMERIC = 3
-
-_USAGE_ERRORS = (UsageError, ConfigurationError)
-_DATA_ERRORS = (
-    ParseError,
-    FormatError,
-    DataError,
-    StratificationError,
-    DomainError,
-    CheckpointError,
-    InsufficientDataError,
-)
-_NUMERIC_ERRORS = (DivergenceError, NonFiniteError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,16 +124,27 @@ def _write_effective(cfg: RunConfig, out_dir: str) -> None:
         f.write(cfg.effective_text())
 
 
-def cmd_train(args) -> int:
+def _load_inputs(args, data_what: str, out_required: bool):
+    """The run config, examples, vocabulary, embeddings and output
+    directory (created; "" when optional and unset) of train and experiment."""
     cfg = _load_run_config(args.config)
-    data_path = _resolve(args.data, cfg.train_data, "training data path")
+    data_path = _resolve(args.data, cfg.train_data, data_what)
     vocab_path = _resolve(args.vocab, cfg.vocab_path, "vocabulary path")
-    out_dir = _resolve(args.out, cfg.out_dir, "output directory")
-    _make_out_dir(out_dir)
-
+    if out_required:
+        out_dir = _resolve(args.out, cfg.out_dir, "output directory")
+    else:
+        out_dir = args.out or cfg.out_dir
+    if out_dir:
+        _make_out_dir(out_dir)
     examples = load_dataset(data_path)
     vocab = load_vocabulary(vocab_path)
-    emb = _embeddings(cfg, vocab, args.seed)
+    return cfg, examples, vocab, _embeddings(cfg, vocab, args.seed), out_dir
+
+
+def cmd_train(args) -> int:
+    cfg, examples, vocab, emb, out_dir = _load_inputs(
+        args, "training data path", out_required=True
+    )
     model = build_model(
         cfg.hp, emb.matrix, args.model, derive_seed(args.seed, "model"),
         mcd_cfg=cfg.mcd_cfg, vi_cfg=cfg.vi_cfg,
@@ -200,14 +185,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = _load_run_config(args.config)
-    data_path = _resolve(args.data, cfg.train_data, "data path")
-    vocab_path = _resolve(args.vocab, cfg.vocab_path, "vocabulary path")
-    if args.out:
-        _make_out_dir(args.out)
-    examples = load_dataset(data_path)
-    vocab = load_vocabulary(vocab_path)
-    emb = _embeddings(cfg, vocab, args.seed)
+    cfg, examples, _, emb, out_dir = _load_inputs(args, "data path", out_required=False)
     kinds = tuple(k.strip() for k in args.models.split(",") if k.strip())
     plan = ExperimentPlan(
         protocol=args.protocol,
@@ -221,12 +199,12 @@ def cmd_experiment(args) -> int:
     )
     summary = run_experiment(examples, emb.matrix, plan)
     text = summary.to_json()
-    if args.out:
+    if out_dir:
         with open(
-            os.path.join(args.out, "experiment_summary.json"), "w", encoding="utf-8"
+            os.path.join(out_dir, "experiment_summary.json"), "w", encoding="utf-8"
         ) as f:
             f.write(text)
-        _write_effective(cfg, args.out)
+        _write_effective(cfg, out_dir)
     print(text)
     return EXIT_OK
 
@@ -260,7 +238,7 @@ def cmd_predict(args) -> int:
 def cmd_gradcheck(args) -> int:
     checks = run_all(size=args.size, seed=args.seed)
     print(format_checks(checks))
-    return EXIT_OK if all(c.passed for c in checks) else EXIT_NUMERIC
+    return EXIT_OK if all(c.passed for c in checks) else DivergenceError.exit_code
 
 
 def build_parser() -> _Parser:
@@ -325,15 +303,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except UrgentBayesError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return exc.exit_code
 
 
 if __name__ == "__main__":

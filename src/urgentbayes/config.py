@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .corpus import read_text_lines
 from .encoder import HyperParams
 from .errors import ConfigurationError
 from .mcd import McdConfig
@@ -129,9 +130,4 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
+    return parse_config("".join(read_text_lines(path, "config", ConfigurationError)))

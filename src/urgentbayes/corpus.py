@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import re
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,13 +97,20 @@ def save_vocabulary(vocab, path):
             fh.write(token + "\n")
 
 
-def load_vocabulary(path):
+def read_text_lines(path, what, error, newline=None):
+    """Streams the lines of UTF-8 text file `path`, as `open` with that
+    `newline` yields them; a caller that may stop early closes the
+    generator. A file that cannot be opened, or whose bytes are not UTF-8,
+    raises `error("cannot read <what> <path>: ...")`."""
     try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read vocabulary {path}: {exc}") from exc
-    with fh:
-        id_to_token = [line.rstrip("\n") for line in fh]
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield from fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_vocabulary(path):
+    id_to_token = [line.rstrip("\n") for line in read_text_lines(path, "vocabulary", DataError)]
     if len(id_to_token) < 2 or id_to_token[0] != PAD_TOKEN or id_to_token[1] != UNK_TOKEN:
         raise FormatError(f"{path}: not a vocabulary file (expected {PAD_TOKEN}, {UNK_TOKEN} first)")
     token_to_id = {t: i for i, t in enumerate(id_to_token)}
@@ -147,29 +155,32 @@ def examples_from_posts(posts, vocab, max_len=128):
 def load_posts(path):
     """Read a delimited dataset with header columns text, urgency, course_id."""
     posts = []
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise FormatError(f"{path}: empty dataset file")
-        missing = {"text", "urgency"} - set(reader.fieldnames)
-        if missing:
-            raise FormatError(f"{path}: missing required columns {sorted(missing)}")
-        for row in reader:
-            line = reader.line_num
-            text = (row["text"] or "").strip()
-            if not text:
-                raise DataError(f"{path} line {line}: empty post text")
-            try:
-                urgency = float(row["urgency"])
-            except (TypeError, ValueError):
-                raise ParseError(f"{path}: invalid urgency {row['urgency']!r}", line=line) from None
-            if not URGENCY_MIN <= urgency <= URGENCY_MAX:
-                raise DataError(f"{path} line {line}: urgency {urgency} outside [1, 7]")
-            posts.append(RawPost(text, urgency, row.get("course_id") or ""))
+    with closing(read_text_lines(path, "dataset", DataError, newline="")) as lines:
+        reader = csv.DictReader(lines)
+        try:
+            if reader.fieldnames is None:
+                raise FormatError(f"{path}: empty dataset file")
+            missing = {"text", "urgency"} - set(reader.fieldnames)
+            if missing:
+                raise FormatError(f"{path}: missing required columns {sorted(missing)}")
+            for row in reader:
+                line = reader.line_num
+                text = (row["text"] or "").strip()
+                if not text:
+                    raise DataError(f"{path} line {line}: empty post text")
+                try:
+                    urgency = float(row["urgency"])
+                except (TypeError, ValueError):
+                    raise ParseError(
+                        f"{path}: invalid urgency {row['urgency']!r}", line=line
+                    ) from None
+                if not URGENCY_MIN <= urgency <= URGENCY_MAX:
+                    raise DataError(f"{path} line {line}: urgency {urgency} outside [1, 7]")
+                posts.append(RawPost(text, urgency, row.get("course_id") or ""))
+        except csv.Error as exc:
+            # DictReader.line_num advances only past a parsed row; its reader's
+            # count includes the line that failed
+            raise ParseError(f"{path}: {exc}", line=reader.reader.line_num) from exc
     if not posts:
         raise DataError(f"{path}: dataset contains no rows")
     return posts
@@ -205,12 +216,8 @@ def load_pretrained_embeddings(path, vocab, d=300, rng=None):
     table = random_embeddings(vocab, d, rng)
     matrix = table.matrix
     matched = set()
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read embeddings {path}: {exc}") from exc
-    with fh:
-        for line_num, line in enumerate(fh, start=1):
+    with closing(read_text_lines(path, "embeddings", DataError)) as lines:
+        for line_num, line in enumerate(lines, start=1):
             fields = line.rstrip("\n").split(" ")
             if line_num == 1 and len(fields) == 2:
                 try:
@@ -297,6 +304,10 @@ def load_dataset(path):
     for key in ("token_ids", "true_lengths", "labels"):
         if key not in arrays:
             raise FormatError(f"{path}: dataset missing array {key!r}")
+        if not np.issubdtype(arrays[key].dtype, np.integer):
+            raise FormatError(
+                f"{path}: dataset array {key!r} has dtype {arrays[key].dtype}, not an integer type"
+            )
     ids, lengths, labels = (
         arrays["token_ids"],
         arrays["true_lengths"],

@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in process via main()."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -9,6 +10,21 @@ from urgentbayes import cli
 from urgentbayes.autodiff import GradCheckFailure, GradCheckReport
 from urgentbayes.cli import main
 from urgentbayes.corpus import LabeledExample, save_dataset
+from urgentbayes.errors import (
+    CheckpointError,
+    ConfigurationError,
+    DataError,
+    DivergenceError,
+    DomainError,
+    FormatError,
+    InsufficientDataError,
+    NonFiniteError,
+    ParseError,
+    ShapeError,
+    StratificationError,
+    UrgentBayesError,
+    UsageError,
+)
 from urgentbayes.gradchecks import NamedCheck
 from urgentbayes.synthetic import synthetic_posts, write_posts_csv
 
@@ -267,6 +283,25 @@ class TestExperiment:
         assert code == 2
         assert f"class {missing} has {labels.count(missing)} member(s)" in err
 
+    def test_out_dir_from_config(self, workspace, tmp_path, capsys):
+        # the config's out_dir is honoured as train honours it; --out wins over it
+        keyed = tmp_path / "keyed"
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text(TINY_CFG + f"out_dir = {keyed}\n")
+        argv = ["experiment", "--protocol", "80_20", "--runs", "1", "--models", "base",
+                "--config", str(cfg), "--data", workspace["dataset"],
+                "--vocab", workspace["vocab"], "--seed", "3"]
+        flag = tmp_path / "flag"
+        code, stdout, _ = run_cli(capsys, argv + ["--out", str(flag)])
+        assert code == 0
+        assert (flag / "experiment_summary.json").read_text() == stdout.rstrip("\n")
+        assert (flag / "effective_config.txt").exists()
+        assert not keyed.exists()
+        code, stdout, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert (keyed / "experiment_summary.json").read_text() == stdout.rstrip("\n")
+        assert f"out_dir = {keyed}\n" in (keyed / "effective_config.txt").read_text()
+
     def test_unknown_model_kind(self, workspace, capsys):
         code, _, err = run_cli(
             capsys,
@@ -451,3 +486,131 @@ class TestUsageErrors:
         )
         assert code == 1
         assert "unknown key" in err
+
+
+# the exit code each package error class declares; a class missing here
+# fails its case below
+EXIT_CODES = {
+    UrgentBayesError: 1,
+    ConfigurationError: 1,
+    UsageError: 1,
+    DomainError: 2,
+    ShapeError: 2,
+    ParseError: 2,
+    FormatError: 2,
+    DataError: 2,
+    StratificationError: 2,
+    CheckpointError: 2,
+    InsufficientDataError: 2,
+    NonFiniteError: 3,
+    DivergenceError: 3,
+}
+
+
+def _error_classes(cls=UrgentBayesError):
+    return [cls] + [sub for c in cls.__subclasses__() for sub in _error_classes(c)]
+
+
+@pytest.mark.parametrize("error", _error_classes(), ids=lambda cls: cls.__name__)
+def test_every_error_class_exits_with_its_code(monkeypatch, capsys, error):
+    def fail(size, seed):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "run_all", fail)
+    assert run_cli(capsys, ["gradcheck"]) == (EXIT_CODES[error], "", "error: boom\n")
+
+
+class TestMalformedInputs:
+    """Inputs that are not UTF-8 or otherwise malformed end in one
+    `error:` line and the exit code of the reader's error class."""
+
+    def assert_clean_error(self, capsys, argv, code, *fragments):
+        got, _, err = run_cli(capsys, argv)
+        assert got == code
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for fragment in fragments:
+            assert fragment in err
+
+    def train_argv(self, workspace, tmp_path, config=None, vocab=None):
+        return ["train", "--model", "base", "--config", config or workspace["cfg"],
+                "--data", workspace["dataset"], "--vocab", vocab or workspace["vocab"],
+                "--out", str(tmp_path / "o")]
+
+    def test_config_not_utf8(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(b"max_len = 8  # caf\xe9\n")
+        self.assert_clean_error(
+            capsys, self.train_argv(workspace, tmp_path, config=str(bad)), 1,
+            f"cannot read config {bad}", "utf-8",
+        )
+
+    def test_posts_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"text,urgency\ncaf\xe9 closed,5\n")
+        self.assert_clean_error(
+            capsys, ["prepare", "--data", str(bad), "--out", str(tmp_path / "o")], 2,
+            f"cannot read dataset {bad}", "utf-8",
+        )
+
+    def test_oversized_csv_field(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text("text,urgency\nshort post,2\n" + "word " * 40_000 + ",5\n")
+        self.assert_clean_error(
+            capsys, ["prepare", "--data", str(big), "--out", str(tmp_path / "o")], 2,
+            "line 3: ", "field larger than field limit",
+        )
+
+    def test_vocabulary_not_utf8(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"<pad>\n<unk>\ncaf\xe9\n")
+        self.assert_clean_error(
+            capsys, self.train_argv(workspace, tmp_path, vocab=str(bad)), 2,
+            f"cannot read vocabulary {bad}", "utf-8",
+        )
+
+    def test_embeddings_not_utf8(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "latin1.vec"
+        bad.write_bytes(b"the 0.1 0.2 0.3 0.4\ncaf\xe9 0.1 0.2 0.3 0.4\n")
+        cfg = tmp_path / "vec.cfg"
+        cfg.write_text(TINY_CFG + f"embeddings_path = {bad}\n")
+        self.assert_clean_error(
+            capsys, self.train_argv(workspace, tmp_path, config=str(cfg)), 2,
+            f"cannot read embeddings {bad}", "utf-8",
+        )
+
+    @pytest.mark.parametrize("key", ["token_ids", "true_lengths", "labels"])
+    def test_float_dataset_array(self, mcd_checkpoint, workspace, tmp_path, capsys, key):
+        with np.load(workspace["dataset"]) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        arrays[key] = arrays[key] + (0.5 if key == "token_ids" else 0.0)
+        bad = tmp_path / "float.npz"
+        np.savez(bad, **arrays)
+        self.assert_clean_error(
+            capsys, ["evaluate", "--checkpoint", mcd_checkpoint, "--test", str(bad)], 2,
+            f"{key!r} has dtype float64",
+        )
+
+    def test_block_name_not_utf8(self, mcd_checkpoint, tmp_path, capsys, edit_blocks):
+        bad = tmp_path / "name.ckpt"
+        shutil.copyfile(mcd_checkpoint, bad)
+        edit_blocks(str(bad), lambda blocks: blocks.append(("MARKER-block", np.zeros(1))))
+        blob = bad.read_bytes()
+        assert blob.count(b"MARKER-block") == 1
+        bad.write_bytes(blob.replace(b"MARKER-block", b"\xffARKER-block"))
+        self.assert_clean_error(
+            capsys, ["predict", "--checkpoint", str(bad), "--text", "the quiz"], 2,
+            "block name is not UTF-8",
+        )
+
+    @pytest.mark.parametrize(
+        "replacement", ["model_kind hyperparams vocab", ["model_kind", "hyperparams", "vocab"]],
+        ids=["string", "list"],
+    )
+    def test_header_not_an_object(self, mcd_checkpoint, tmp_path, capsys, edit_header, replacement):
+        bad = tmp_path / "header.ckpt"
+        shutil.copyfile(mcd_checkpoint, bad)
+        edit_header(str(bad), lambda header: replacement)
+        self.assert_clean_error(
+            capsys, ["predict", "--checkpoint", str(bad), "--text", "the quiz"], 2,
+            "header is not a JSON object",
+        )
