@@ -1,9 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A small tape-based engine: every operation returns a `Tensor` that records
-its parent tensors and a closure computing the parents' adjoints.  Calling
-`backward` on a scalar walks the recorded graph in reverse topological
-order and accumulates gradients into every reachable `Parameter`.
+A small tape-based engine: every operation returns a `Tensor` built by
+`_node`, which records the parent tensors and a closure computing the
+parents' adjoints only while recording (outside `no_grad`, with some
+parent requiring a gradient); otherwise the output keeps neither, nor any
+array the closure saved.  Calling `backward` on a scalar walks the
+recorded graph in reverse topological order and accumulates gradients
+into every reachable `Parameter`.
 
 All data is 64-bit; NaN/Inf are rejected at op boundaries.  Randomness is
 funnelled through `RngStream`, a splittable stream keyed by (seed, path)
@@ -96,102 +99,69 @@ class Tensor:
 
     def __add__(self, other):
         if isinstance(other, Tensor):
-            out = _node(self.data + other.data, (self, other))
-            if out._parents:
-                def bwd(g):
-                    _accumulate(self, g)
-                    _accumulate(other, g)
-                out._backward = bwd
-            return out
-        out = _node(self.data + other, (self,))
-        if out._parents:
-            out._backward = lambda g: _accumulate(self, g)
-        return out
+            def bwd(g):
+                _accumulate(self, g)
+                _accumulate(other, g)
+            return _node(self.data + other.data, (self, other), bwd)
+        return _node(self.data + other, (self,), lambda g: _accumulate(self, g))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = _node(-self.data, (self,))
-        if out._parents:
-            out._backward = lambda g: _accumulate(self, -g)
-        return out
+        return _node(-self.data, (self,), lambda g: _accumulate(self, -g))
 
     def __sub__(self, other):
         if isinstance(other, Tensor):
-            out = _node(self.data - other.data, (self, other))
-            if out._parents:
-                def bwd(g):
-                    _accumulate(self, g)
-                    _accumulate(other, -g)
-                out._backward = bwd
-            return out
-        out = _node(self.data - other, (self,))
-        if out._parents:
-            out._backward = lambda g: _accumulate(self, g)
-        return out
+            def bwd(g):
+                _accumulate(self, g)
+                _accumulate(other, -g)
+            return _node(self.data - other.data, (self, other), bwd)
+        return _node(self.data - other, (self,), lambda g: _accumulate(self, g))
 
     def __rsub__(self, other):
-        out = _node(other - self.data, (self,))
-        if out._parents:
-            out._backward = lambda g: _accumulate(self, -g)
-        return out
+        return _node(other - self.data, (self,), lambda g: _accumulate(self, -g))
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
-            out = _node(self.data * other.data, (self, other))
-            if out._parents:
-                def bwd(g):
-                    _accumulate(self, g * other.data)
-                    _accumulate(other, g * self.data)
-                out._backward = bwd
-            return out
-        out = _node(self.data * other, (self,))
-        if out._parents:
-            out._backward = lambda g: _accumulate(self, g * other)
-        return out
+            def bwd(g):
+                _accumulate(self, g * other.data)
+                _accumulate(other, g * self.data)
+            return _node(self.data * other.data, (self, other), bwd)
+        return _node(self.data * other, (self,), lambda g: _accumulate(self, g * other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):
-            out = _node(self.data / other.data, (self, other))
-            if out._parents:
-                def bwd(g):
-                    _accumulate(self, g / other.data)
-                    _accumulate(other, -g * self.data / (other.data * other.data))
-                out._backward = bwd
-            return out
+            def bwd(g):
+                _accumulate(self, g / other.data)
+                _accumulate(other, -g * self.data / (other.data * other.data))
+            return _node(self.data / other.data, (self, other), bwd)
         return self * (1.0 / other)
 
     def __rtruediv__(self, other):
-        out = _node(other / self.data, (self,))
-        if out._parents:
-            out._backward = lambda g: _accumulate(self, -g * other / (self.data * self.data))
-        return out
+        return _node(
+            other / self.data, (self,),
+            lambda g: _accumulate(self, -g * other / (self.data * self.data)),
+        )
 
     def __matmul__(self, other):
         return matmul(self, other)
 
     def __getitem__(self, key):
-        out = _node(self.data[key], (self,))
-        if out._parents:
-            def bwd(g):
-                full = np.zeros_like(self.data)
-                # add.at, not assignment: repeated indices must accumulate
-                np.add.at(full, key, g)
-                _accumulate(self, full)
-            out._backward = bwd
-        return out
+        def bwd(g):
+            full = np.zeros_like(self.data)
+            # add.at, not assignment: repeated indices must accumulate
+            np.add.at(full, key, g)
+            _accumulate(self, full)
+        return _node(self.data[key], (self,), bwd)
 
     def sum(self, axis=None, keepdims=False):
-        out = _node(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-        if out._parents:
-            def bwd(g):
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                _accumulate(self, np.broadcast_to(g, self.data.shape))
-            out._backward = bwd
-        return out
+        def bwd(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            _accumulate(self, np.broadcast_to(g, self.data.shape))
+        return _node(self.data.sum(axis=axis, keepdims=keepdims), (self,), bwd)
 
     def mean(self, axis=None, keepdims=False):
         count = self.data.size if axis is None else self.data.shape[axis]
@@ -218,27 +188,30 @@ class Parameter(Tensor):
 
 def is_recording(parents):
     """Whether an op over `parents` is recorded, i.e. a gradient can flow
-    back through it.  Ops that cache intermediates for their backward
-    consult this first."""
+    back through it.  `_node` decides by it; an op that allocates arrays
+    only its backward reads (`encoder.lstm_layer`) consults it first."""
     return _grad_enabled and any(p.requires_grad for p in parents)
 
 
-def _node(data, parents):
-    """Build an op output; graph links are kept only when a grad can flow."""
-    out = Tensor.__new__(Tensor)
+def _node(data, parents, backward=None):
+    """Build an op output.  The graph links and the `backward` closure (and
+    with it every array the closure saves) are kept only while recording,
+    i.e. when a gradient can flow back to some parent."""
+    node = Tensor.__new__(Tensor)
     if not isinstance(data, np.ndarray) or data.dtype != np.float64:
         data = np.asarray(data, dtype=np.float64)
     _check_finite(data, "operation output")
-    out.data = data
-    out.grad = None
-    out._backward = None
+    node.data = data
+    node.grad = None
     if is_recording(parents):
-        out.requires_grad = True
-        out._parents = parents
+        node.requires_grad = True
+        node._parents = parents
+        node._backward = backward
     else:
-        out.requires_grad = False
-        out._parents = ()
-    return out
+        node.requires_grad = False
+        node._parents = ()
+        node._backward = None
+    return node
 
 
 def _unbroadcast(g, shape):
@@ -355,14 +328,11 @@ def affine(x, weight, bias):
             f"affine shapes do not agree: x {x.data.shape}, "
             f"weight {weight.data.shape}, bias {bias.data.shape}"
         )
-    out = _node(x.data @ weight.data + bias.data, (x, weight, bias))
-    if out._parents:
-        def bwd(g):
-            _accumulate(x, g @ weight.data.T)
-            _accumulate(weight, x.data.T @ g)
-            _accumulate(bias, g.sum(axis=0))
-        out._backward = bwd
-    return out
+    def bwd(g):
+        _accumulate(x, g @ weight.data.T)
+        _accumulate(weight, x.data.T @ g)
+        _accumulate(bias, g.sum(axis=0))
+    return _node(x.data @ weight.data + bias.data, (x, weight, bias), bwd)
 
 
 def matmul(a, b):
@@ -370,22 +340,16 @@ def matmul(a, b):
         raise ShapeError("matmul expects 2-d operands")
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shapes do not agree: {a.data.shape} @ {b.data.shape}")
-    out = _node(a.data @ b.data, (a, b))
-    if out._parents:
-        def bwd(g):
-            _accumulate(a, g @ b.data.T)
-            _accumulate(b, a.data.T @ g)
-        out._backward = bwd
-    return out
+    def bwd(g):
+        _accumulate(a, g @ b.data.T)
+        _accumulate(b, a.data.T @ g)
+    return _node(a.data @ b.data, (a, b), bwd)
 
 
 def transpose(x):
     if x.data.ndim != 2:
         raise ShapeError("transpose expects a 2-d tensor")
-    out = _node(x.data.T.copy(), (x,))
-    if out._parents:
-        out._backward = lambda g: _accumulate(x, g.T)
-    return out
+    return _node(x.data.T.copy(), (x,), lambda g: _accumulate(x, g.T))
 
 
 def logistic(z):
@@ -404,45 +368,30 @@ def logistic(z):
 
 def sigmoid(x):
     y = logistic(x.data)
-    out = _node(y, (x,))
-    if out._parents:
-        out._backward = lambda g: _accumulate(x, g * y * (1.0 - y))
-    return out
+    return _node(y, (x,), lambda g: _accumulate(x, g * y * (1.0 - y)))
 
 
 def tanh_op(x):
     y = np.tanh(x.data)
-    out = _node(y, (x,))
-    if out._parents:
-        out._backward = lambda g: _accumulate(x, g * (1.0 - y * y))
-    return out
+    return _node(y, (x,), lambda g: _accumulate(x, g * (1.0 - y * y)))
 
 
 def exp(x):
     with np.errstate(over="ignore"):
         y = np.exp(x.data)
-    out = _node(y, (x,))
-    if out._parents:
-        out._backward = lambda g: _accumulate(x, g * y)
-    return out
+    return _node(y, (x,), lambda g: _accumulate(x, g * y))
 
 
 def log(x):
     if (x.data <= 0).any():
         raise DomainError("log requires strictly positive input")
-    out = _node(np.log(x.data), (x,))
-    if out._parents:
-        out._backward = lambda g: _accumulate(x, g / x.data)
-    return out
+    return _node(np.log(x.data), (x,), lambda g: _accumulate(x, g / x.data))
 
 
 def clip(x, lo, hi):
     """Clamp values to [lo, hi]; gradient passes only where unclamped."""
     inside = (x.data >= lo) & (x.data <= hi)
-    out = _node(np.clip(x.data, lo, hi), (x,))
-    if out._parents:
-        out._backward = lambda g: _accumulate(x, g * inside)
-    return out
+    return _node(np.clip(x.data, lo, hi), (x,), lambda g: _accumulate(x, g * inside))
 
 
 def softmax_stable(x, axis=-1):
@@ -450,13 +399,10 @@ def softmax_stable(x, axis=-1):
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = _node(y, (x,))
-    if out._parents:
-        def bwd(g):
-            inner = (g * y).sum(axis=axis, keepdims=True)
-            _accumulate(x, y * (g - inner))
-        out._backward = bwd
-    return out
+    def bwd(g):
+        inner = (g * y).sum(axis=axis, keepdims=True)
+        _accumulate(x, y * (g - inner))
+    return _node(y, (x,), bwd)
 
 
 def concat(parts, axis=0):
@@ -470,18 +416,15 @@ def concat(parts, axis=0):
             s[i] != ref[i] for i in range(len(ref)) if i != axis % len(ref)
         ):
             raise ShapeError(f"concat dimension mismatch: {ref} vs {s}")
-    out = _node(np.concatenate([p.data for p in parts], axis=axis), (*parts,))
-    if out._parents:
-        sizes = [p.data.shape[axis] for p in parts]
-        def bwd(g):
-            offset = 0
-            for p, n in zip(parts, sizes):
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(offset, offset + n)
-                _accumulate(p, g[tuple(index)])
-                offset += n
-        out._backward = bwd
-    return out
+    def bwd(g):
+        offset = 0
+        for p in parts:
+            n = p.data.shape[axis]
+            index = [slice(None)] * g.ndim
+            index[axis] = slice(offset, offset + n)
+            _accumulate(p, g[tuple(index)])
+            offset += n
+    return _node(np.concatenate([p.data for p in parts], axis=axis), (*parts,), bwd)
 
 
 def gather_rows(table, ids):
@@ -494,14 +437,11 @@ def gather_rows(table, ids):
         raise ShapeError("gather_rows expects a 2-d table")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise DomainError("row id out of range")
-    out = _node(table.data[ids], (table,))
-    if out._parents:
-        def bwd(g):
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-        out._backward = bwd
-    return out
+    def bwd(g):
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+    return _node(table.data[ids], (table,), bwd)
 
 
 def cross_entropy_from_logits(logits, labels):
@@ -520,15 +460,12 @@ def cross_entropy_from_logits(logits, labels):
     m = logits.data.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(logits.data - m).sum(axis=1))
     losses = lse - logits.data[np.arange(n), labels]
-    out = _node(losses.mean(), (logits,))
-    if out._parents:
-        def bwd(g):
-            probs = np.exp(logits.data - m)
-            probs /= probs.sum(axis=1, keepdims=True)
-            probs[np.arange(n), labels] -= 1.0
-            _accumulate(logits, (float(g) / n) * probs)
-        out._backward = bwd
-    return out
+    def bwd(g):
+        probs = np.exp(logits.data - m)
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[np.arange(n), labels] -= 1.0
+        _accumulate(logits, (float(g) / n) * probs)
+    return _node(losses.mean(), (logits,), bwd)
 
 
 # -- gradient verification ------------------------------------------------

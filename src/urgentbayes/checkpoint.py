@@ -5,8 +5,10 @@ length-prefixed JSON header (model kind, hyperparameters, sampling
 configs, vocabulary tokens in id order), then named parameter blocks.
 Each block stores the name, the shape, and the values as row-major
 float64 little-endian bytes. Loading rejects unknown versions, bad
-magic, truncation, header values no model can be built from, and any
-name or shape that disagrees with the model rebuilt from the header.
+magic, truncation, header values no model can be built from, a
+vocabulary that `corpus.load_vocabulary` would reject, non-finite block
+values, and any name or shape that disagrees with the model rebuilt from
+the header.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .autodiff import _check_finite
 from .corpus import Vocabulary
 from .encoder import MODEL_KINDS, BaseClassifier, HyperParams
-from .errors import CheckpointError, ConfigurationError
+from .errors import CheckpointError, ConfigurationError, FormatError, NonFiniteError
 from .mcd import McdConfig
 from .metrics import NUM_CLASSES
 from .training import build_model
@@ -47,8 +50,7 @@ class CheckpointData:
     params: dict[str, np.ndarray]
 
     def vocabulary(self) -> Vocabulary:
-        token_to_id = {tok: i for i, tok in enumerate(self.vocab_tokens)}
-        return Vocabulary(token_to_id=token_to_id, id_to_token=list(self.vocab_tokens))
+        return Vocabulary(self.vocab_tokens)
 
 
 def _write_block(out, name: str, array: np.ndarray) -> None:
@@ -159,6 +161,10 @@ def load_checkpoint(path: str) -> CheckpointData:
             raise CheckpointError(
                 f"{path}: block {name!r} has impossible shape {shape}: {exc}"
             ) from exc
+        try:
+            _check_finite(params[name], f"block {name!r}")
+        except NonFiniteError as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
     if r.pos != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after last block")
 
@@ -183,6 +189,10 @@ def load_checkpoint(path: str) -> CheckpointData:
             raise ConfigurationError("vocab must be a list of token strings")
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad header fields: {exc}") from exc
+    try:
+        Vocabulary(vocab)
+    except FormatError as exc:
+        raise CheckpointError(f"{path}: header vocab is not a vocabulary ({exc})") from exc
     if header["model_kind"] == "vi":
         # older vi files carry the base head, which vi built and never
         # trained; they still load, with its blocks at their old shapes only

@@ -51,17 +51,25 @@ def tokenize(text):
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass
 class Vocabulary:
     """Token inventory with fixed special ids: pad=0, unk=1.
 
-    Retained tokens get ids 2.. in descending corpus frequency,
-    ties broken lexicographically, so ids are reproducible."""
+    Built from the tokens in id order, which must start with the two
+    special tokens and hold no token twice.  `build_vocabulary` retains
+    tokens with ids 2.. in descending corpus frequency, ties broken
+    lexicographically, so ids are reproducible."""
 
-    token_to_id: dict
-    id_to_token: list
     pad_id = 0
     unk_id = 1
+
+    def __init__(self, id_to_token):
+        self.id_to_token = list(id_to_token)
+        if self.id_to_token[:2] != [PAD_TOKEN, UNK_TOKEN]:
+            raise FormatError(f"expected {PAD_TOKEN}, {UNK_TOKEN} first")
+        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
+        if len(self.token_to_id) != len(self.id_to_token):
+            repeated = next(t for i, t in enumerate(self.id_to_token) if self.token_to_id[t] != i)
+            raise FormatError(f"duplicate token {repeated!r}")
 
     def __len__(self):
         return len(self.id_to_token)
@@ -83,9 +91,7 @@ def build_vocabulary(corpus, min_frequency=2):
     freq.pop(UNK_TOKEN, None)
     retained = [t for t, c in freq.items() if c >= min_frequency]
     retained.sort(key=lambda t: (-freq[t], t))
-    id_to_token = [PAD_TOKEN, UNK_TOKEN] + retained
-    token_to_id = {t: i for i, t in enumerate(id_to_token)}
-    return Vocabulary(token_to_id, id_to_token)
+    return Vocabulary([PAD_TOKEN, UNK_TOKEN] + retained)
 
 
 def save_vocabulary(vocab, path):
@@ -110,13 +116,11 @@ def read_text_lines(path, what, error, newline=None):
 
 
 def load_vocabulary(path):
-    id_to_token = [line.rstrip("\n") for line in read_text_lines(path, "vocabulary", DataError)]
-    if len(id_to_token) < 2 or id_to_token[0] != PAD_TOKEN or id_to_token[1] != UNK_TOKEN:
-        raise FormatError(f"{path}: not a vocabulary file (expected {PAD_TOKEN}, {UNK_TOKEN} first)")
-    token_to_id = {t: i for i, t in enumerate(id_to_token)}
-    if len(token_to_id) != len(id_to_token):
-        raise FormatError(f"{path}: duplicate token in vocabulary file")
-    return Vocabulary(token_to_id, id_to_token)
+    lines = read_text_lines(path, "vocabulary", DataError)
+    try:
+        return Vocabulary(line.rstrip("\n") for line in lines)
+    except FormatError as exc:
+        raise FormatError(f"{path}: not a vocabulary file ({exc})") from exc
 
 
 @dataclass

@@ -187,43 +187,41 @@ def lstm_layer(params, x, out=None):
         states[:, t] = h
         if keep:
             cells[:, t] = c
-    out = _node(states, (x, wx, wh, bias))
-    if out._parents:
-        def bwd(g):
-            i, f = gates[..., :hd], gates[..., hd : 2 * hd]
-            cand, o = gates[..., 2 * hd : 3 * hd], gates[..., 3 * hd :]
-            tanh_c = np.tanh(cells)
-            # d(gate)/d(pre-activation), and dc_t/dh_t through h = o * tanh(c)
-            slope = gates * (1.0 - gates)
-            slope[..., 2 * hd : 3 * hd] = 1.0 - cand * cand
-            through_c = o * (1.0 - tanh_c * tanh_c)
-            prev_c = np.zeros((n, steps, hd))
-            prev_c[:, 1:] = cells[:, :-1]
-            d_pre = np.empty((n, steps, 4 * hd))
-            wh_t = wh.data.T
-            dh_next = np.zeros((n, hd))
-            dc_next = np.zeros((n, hd))
-            for t in range(steps - 1, -1, -1):
-                dh = g[:, t] + dh_next
-                dc = dc_next + dh * through_c[:, t]
-                dp = d_pre[:, t]
-                dp[:, :hd] = dc * cand[:, t]
-                dp[:, hd : 2 * hd] = dc * prev_c[:, t]
-                dp[:, 2 * hd : 3 * hd] = dc * i[:, t]
-                dp[:, 3 * hd :] = dh * tanh_c[:, t]
-                dp *= slope[:, t]
-                dh_next = dp @ wh_t
-                dc_next = dc * f[:, t]
-            flat = d_pre.reshape(n * steps, 4 * hd)
-            if x.requires_grad:
-                _accumulate(x, (flat @ wx.data.T).reshape(n, steps, d))
-            _accumulate(wx, x.data.reshape(n * steps, d).T @ flat)
-            prev_h = np.zeros((n, steps, hd))
-            prev_h[:, 1:] = states[:, :-1]
-            _accumulate(wh, prev_h.reshape(n * steps, hd).T @ flat)
-            _accumulate(bias, flat.sum(axis=0))
-        out._backward = bwd
-    return out
+
+    def bwd(g):
+        i, f = gates[..., :hd], gates[..., hd : 2 * hd]
+        cand, o = gates[..., 2 * hd : 3 * hd], gates[..., 3 * hd :]
+        tanh_c = np.tanh(cells)
+        # d(gate)/d(pre-activation), and dc_t/dh_t through h = o * tanh(c)
+        slope = gates * (1.0 - gates)
+        slope[..., 2 * hd : 3 * hd] = 1.0 - cand * cand
+        through_c = o * (1.0 - tanh_c * tanh_c)
+        prev_c = np.zeros((n, steps, hd))
+        prev_c[:, 1:] = cells[:, :-1]
+        d_pre = np.empty((n, steps, 4 * hd))
+        wh_t = wh.data.T
+        dh_next = np.zeros((n, hd))
+        dc_next = np.zeros((n, hd))
+        for t in range(steps - 1, -1, -1):
+            dh = g[:, t] + dh_next
+            dc = dc_next + dh * through_c[:, t]
+            dp = d_pre[:, t]
+            dp[:, :hd] = dc * cand[:, t]
+            dp[:, hd : 2 * hd] = dc * prev_c[:, t]
+            dp[:, 2 * hd : 3 * hd] = dc * i[:, t]
+            dp[:, 3 * hd :] = dh * tanh_c[:, t]
+            dp *= slope[:, t]
+            dh_next = dp @ wh_t
+            dc_next = dc * f[:, t]
+        flat = d_pre.reshape(n * steps, 4 * hd)
+        if x.requires_grad:
+            _accumulate(x, (flat @ wx.data.T).reshape(n, steps, d))
+        _accumulate(wx, x.data.reshape(n * steps, d).T @ flat)
+        prev_h = np.zeros((n, steps, hd))
+        prev_h[:, 1:] = states[:, :-1]
+        _accumulate(wh, prev_h.reshape(n * steps, hd).T @ flat)
+        _accumulate(bias, flat.sum(axis=0))
+    return _node(states, (x, wx, wh, bias), bwd)
 
 
 @dataclass
@@ -304,21 +302,19 @@ def attend(states, finals, lengths, mode="softmax"):
         denom = np.where(degenerate, 1.0, denom)
         uniform = valid / valid.sum(axis=1, keepdims=True)
         weights = np.where(degenerate, uniform, np.where(valid, scores / denom, 0.0))
-    out = _node(np.matmul(weights[:, None, :], s)[:, 0, :], (states, finals))
-    if out._parents:
-        def bwd(g):
-            g_weights = np.matmul(s, g[:, :, None])[:, :, 0]
-            centred = g_weights - (g_weights * weights).sum(axis=1, keepdims=True)
-            if mode == "softmax":
-                g_scores = weights * centred
-            else:
-                g_scores = np.where(valid & ~degenerate, centred / denom, 0.0)
-            _accumulate(
-                states, weights[:, :, None] * g[:, None, :] + g_scores[:, :, None] * q[:, None, :]
-            )
-            _accumulate(finals, np.matmul(g_scores[:, None, :], s)[:, 0, :])
-        out._backward = bwd
-    return out
+
+    def bwd(g):
+        g_weights = np.matmul(s, g[:, :, None])[:, :, 0]
+        centred = g_weights - (g_weights * weights).sum(axis=1, keepdims=True)
+        if mode == "softmax":
+            g_scores = weights * centred
+        else:
+            g_scores = np.where(valid & ~degenerate, centred / denom, 0.0)
+        _accumulate(
+            states, weights[:, :, None] * g[:, None, :] + g_scores[:, :, None] * q[:, None, :]
+        )
+        _accumulate(finals, np.matmul(g_scores[:, None, :], s)[:, 0, :])
+    return _node(np.matmul(weights[:, None, :], s)[:, 0, :], (states, finals), bwd)
 
 
 class MonteCarloError(NamedTuple):

@@ -76,6 +76,9 @@ class ExperimentPlan:
                 f"protocol must be one of {sorted(PROTOCOLS)}, got {self.protocol!r}"
             )
         require_counts(self, ("n_runs",))
+        # the split seeds NumPy with (seed, run), which must be non-negative
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.model_kinds:
             raise ConfigurationError("at least one model kind is required")
         for kind in self.model_kinds:

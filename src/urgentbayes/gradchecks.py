@@ -153,6 +153,9 @@ def run_all(size: str = "small", seed: int | None = None) -> list[NamedCheck]:
     an explicit seed overrides both the op draws and the models."""
     if size not in ("small", "large"):
         raise ConfigurationError(f"size must be 'small' or 'large', got {size!r}")
+    if seed is not None and (not isinstance(seed, (int, np.integer)) or seed < 0):
+        # op_checks seeds NumPy with it directly
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
     op_seed = DEFAULT_OP_SEED if seed is None else seed
     checks = op_checks(op_seed)
     if size == "large":

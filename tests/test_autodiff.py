@@ -26,7 +26,13 @@ from urgentbayes.autodiff import (
     tanh_op,
     transpose,
 )
-from urgentbayes.encoder import BaseClassifier, HyperParams
+from urgentbayes.encoder import (
+    BaseClassifier,
+    HyperParams,
+    attend,
+    init_lstm_layer,
+    lstm_layer,
+)
 from urgentbayes.errors import (
     ConfigurationError,
     DomainError,
@@ -35,6 +41,49 @@ from urgentbayes.errors import (
     UsageError,
 )
 from urgentbayes.mcd import McdClassifier, McdConfig
+
+
+def _param(*shape):
+    """A Parameter of distinct positive values, inside every op's domain."""
+    return Parameter(np.linspace(0.5, 2.0, math.prod(shape)).reshape(shape), "p")
+
+
+_LAYER = init_lstm_layer(4, 2, RngStream(0), "layer")
+
+# every op the tape builds, each over Parameter inputs
+TAPE_OPS = {
+    "add": lambda: _param(3, 4) + _param(3, 4),
+    "add_scalar": lambda: _param(3, 4) + 2.0,
+    "neg": lambda: -_param(3, 4),
+    "sub": lambda: _param(3, 4) - _param(3, 4),
+    "sub_scalar": lambda: _param(3, 4) - 2.0,
+    "rsub_scalar": lambda: 2.0 - _param(3, 4),
+    "mul": lambda: _param(3, 4) * _param(3, 4),
+    "mul_scalar": lambda: _param(3, 4) * 3.0,
+    "div": lambda: _param(3, 4) / _param(3, 4),
+    "div_scalar": lambda: _param(3, 4) / 2.0,
+    "rdiv_scalar": lambda: 2.0 / _param(3, 4),
+    "getitem": lambda: _param(3, 4)[1:],
+    "sum": lambda: _param(3, 4).sum(axis=0),
+    "mean": lambda: _param(3, 4).mean(),
+    "affine": lambda: affine(_param(3, 4), _param(4, 2), _param(2)),
+    "matmul": lambda: matmul(_param(3, 4), _param(4, 2)),
+    "transpose": lambda: transpose(_param(3, 4)),
+    "sigmoid": lambda: sigmoid(_param(3, 4)),
+    "tanh_op": lambda: tanh_op(_param(3, 4)),
+    "exp": lambda: exp(_param(3, 4)),
+    "log": lambda: log(_param(3, 4)),
+    "clip": lambda: clip(_param(3, 4), 1.0, 1.5),
+    "softmax_stable": lambda: softmax_stable(_param(3, 4)),
+    "concat": lambda: concat([_param(3, 4), _param(3, 2)], axis=1),
+    "gather_rows": lambda: gather_rows(_param(3, 4), np.array([0, 2, 2])),
+    "cross_entropy_from_logits": lambda: cross_entropy_from_logits(
+        _param(3, 2), np.array([0, 1, 1])
+    ),
+    "lstm_layer": lambda: lstm_layer(_LAYER, _param(2, 3, 4)),
+    "attend_softmax": lambda: attend(_param(3, 4, 2), _param(3, 2), [4, 2, 1], "softmax"),
+    "attend_ratio": lambda: attend(_param(3, 4, 2), _param(3, 2), [4, 2, 1], "ratio"),
+}
 
 
 def scalar(t):
@@ -153,12 +202,16 @@ class TestBackwardContracts:
         backward((a + b).sum())
         np.testing.assert_allclose(a.grad, [[4.0, 4.0, 4.0]])
 
-    def test_no_grad_prunes_graph(self):
-        a = Parameter(np.ones(2), "a")
+    @pytest.mark.parametrize("op", TAPE_OPS)
+    def test_no_grad_prunes_graph(self, op):
+        # the backward closure, and every array it saves, lives only on the tape
         with no_grad():
-            y = a * 3.0
+            y = TAPE_OPS[op]()
         assert not y.requires_grad
-        assert y._parents == ()
+        assert y._parents == () and y._backward is None
+        recorded = TAPE_OPS[op]()
+        assert recorded.requires_grad and recorded._parents
+        assert callable(recorded._backward)
 
     def test_deep_chain_does_not_overflow_stack(self):
         a = Parameter(np.array([1.0]), "a")
@@ -234,11 +287,8 @@ class TestFiniteDifferenceProperties:
         # Negative control: a deliberately wrong backward rule must fail
         # the finite-difference check, otherwise the checker proves nothing.
         def bad_square(t):
-            out = ad._node(t.data * t.data, (t,))
-            if out._parents:
-                # wrong: should be 2*x*g
-                out._backward = lambda g: ad._accumulate(t, g * t.data)
-            return out
+            # wrong: should be 2*x*g
+            return ad._node(t.data * t.data, (t,), lambda g: ad._accumulate(t, g * t.data))
 
         p = Parameter(np.array([1.5, -0.5]), "p")
         report = grad_check(lambda: bad_square(p).sum(), [p])

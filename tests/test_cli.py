@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ def run_cli(capsys, argv):
 
 class TestPrepare:
     def test_summary_contents(self, workspace):
-        summary = json.loads(open(workspace["summary"]).read())
+        summary = json.loads(Path(workspace["summary"]).read_text())
         assert summary["n_posts"] == 24
         assert summary["class_counts"] == {"0": 12, "1": 12}
         assert summary["vocab_size"] > 2
@@ -213,7 +214,7 @@ class TestEvaluate:
 
     def test_truncated_checkpoint(self, workspace, mcd_checkpoint, tmp_path, capsys):
         broken = tmp_path / "broken.ckpt"
-        blob = open(mcd_checkpoint, "rb").read()
+        blob = Path(mcd_checkpoint).read_bytes()
         broken.write_bytes(blob[: len(blob) // 2])
         code, _, err = run_cli(
             capsys,
@@ -227,7 +228,7 @@ class TestEvaluate:
         self, workspace, mcd_checkpoint, tmp_path, capsys, declare_first_shape, impossible_shape
     ):
         bad = tmp_path / "huge.ckpt"
-        bad.write_bytes(open(mcd_checkpoint, "rb").read())
+        bad.write_bytes(Path(mcd_checkpoint).read_bytes())
         declare_first_shape(str(bad), impossible_shape)
         for argv in (
             ["evaluate", "--checkpoint", str(bad), "--test", workspace["dataset"]],
@@ -302,6 +303,12 @@ class TestExperiment:
         assert (keyed / "experiment_summary.json").read_text() == stdout.rstrip("\n")
         assert f"out_dir = {keyed}\n" in (keyed / "effective_config.txt").read_text()
 
+    def test_negative_seed_is_usage_error(self, workspace, capsys):
+        code, out, err = self.run_exp(capsys, workspace, ("--seed", "-1"))
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_unknown_model_kind(self, workspace, capsys):
         code, _, err = run_cli(
             capsys,
@@ -366,7 +373,7 @@ class TestPredict:
         self, mcd_checkpoint, tmp_path, capsys, edit_header, section, key, value
     ):
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(open(mcd_checkpoint, "rb").read())
+        bad.write_bytes(Path(mcd_checkpoint).read_bytes())
 
         def set_value(header):
             (header if section is None else header[section])[key] = value
@@ -380,15 +387,58 @@ class TestPredict:
         self, vi_checkpoint, tmp_path, capsys, edit_blocks
     ):
         bad = tmp_path / "legacy.ckpt"
-        bad.write_bytes(open(vi_checkpoint, "rb").read())
+        bad.write_bytes(Path(vi_checkpoint).read_bytes())
         edit_blocks(str(bad), lambda blocks: blocks.append(("head.bias", np.zeros(3))))
         code, _, err = run_cli(capsys, ["predict", "--checkpoint", str(bad), "--text", "the quiz"])
         assert code == 2
         assert "legacy block 'head.bias'" in err
 
+    def test_non_finite_block_is_data_error(
+        self, workspace, mcd_checkpoint, tmp_path, capsys, edit_blocks
+    ):
+        bad = tmp_path / "nan.ckpt"
+        bad.write_bytes(Path(mcd_checkpoint).read_bytes())
+
+        def poison(blocks):
+            dict(blocks)["head.bias"][0] = np.nan
+
+        edit_blocks(str(bad), poison)
+        for argv in (
+            ["evaluate", "--checkpoint", str(bad), "--test", workspace["dataset"]],
+            ["predict", "--checkpoint", str(bad), "--text", "the quiz"],
+        ):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {bad}: non-finite values in block 'head.bias'\n"
+
+    @pytest.mark.parametrize("problem", ["expected <pad>, <unk> first", "duplicate token"])
+    def test_bad_vocab_is_data_error(
+        self, workspace, mcd_checkpoint, tmp_path, capsys, edit_header, problem
+    ):
+        def edit(header):
+            vocab = header["vocab"]
+            if problem == "duplicate token":
+                vocab[3] = vocab[2]
+            else:
+                vocab[:2] = ["help", "exam"]  # `help` would be read as the pad row
+
+        bad = tmp_path / "vocab.ckpt"
+        bad.write_bytes(Path(mcd_checkpoint).read_bytes())
+        edit_header(str(bad), edit)
+        for argv in (
+            ["evaluate", "--checkpoint", str(bad), "--test", workspace["dataset"]],
+            ["predict", "--checkpoint", str(bad), "--text", "the quiz"],
+        ):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: {bad}: header vocab is not a vocabulary ({problem}")
+            assert err.count("\n") == 1
+
     def test_missing_head_is_data_error(self, mcd_checkpoint, tmp_path, capsys, edit_blocks):
         bad = tmp_path / "headless.ckpt"
-        bad.write_bytes(open(mcd_checkpoint, "rb").read())
+        bad.write_bytes(Path(mcd_checkpoint).read_bytes())
 
         def drop_head(blocks):
             blocks[:] = [(name, a) for name, a in blocks if not name.startswith("head.")]
@@ -417,6 +467,12 @@ class TestGradcheck:
         code, out, _ = run_cli(capsys, ["gradcheck"])
         assert code == 3
         assert "1/2 checks passed, 1 FAILED" in out
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, ["gradcheck", "--seed", "-1"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be a non-negative integer, got -1\n"
 
 
 class TestOutputIsAFile:

@@ -7,6 +7,7 @@ from urgentbayes.autodiff import RngStream
 from urgentbayes.corpus import (
     LabeledExample,
     RawPost,
+    Vocabulary,
     binarize_urgency,
     build_vocabulary,
     encode,
@@ -115,6 +116,22 @@ class TestVocabulary:
     def test_load_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
             load_vocabulary(tmp_path / "absent.txt")
+
+    def test_load_rejects_duplicate_token(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("<pad>\n<unk>\nx\ny\nx\n")
+        with pytest.raises(FormatError, match="not a vocabulary file \\(duplicate token 'x'\\)"):
+            load_vocabulary(path)
+
+    @pytest.mark.parametrize("tokens", [[], ["<pad>"], ["<unk>", "<pad>"], ["help", "exam"]])
+    def test_tokens_must_start_with_specials(self, tokens):
+        with pytest.raises(FormatError, match="expected <pad>, <unk> first"):
+            Vocabulary(tokens)
+
+    def test_ids_follow_token_order(self):
+        vocab = Vocabulary(["<pad>", "<unk>", "b", "a"])
+        assert vocab.token_to_id == {"<pad>": 0, "<unk>": 1, "b": 2, "a": 3}
+        assert vocab.id_for("zzz") == vocab.unk_id
 
 
 class TestEncode:

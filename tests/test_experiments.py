@@ -76,6 +76,8 @@ class TestPlanValidation:
             dict(model_kinds=("transformer",)),
             dict(n_runs=2.5),
             dict(n_runs=True),
+            dict(seed=-1),
+            dict(seed=2.5),
         ],
     )
     def test_rejects(self, kwargs):

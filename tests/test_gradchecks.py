@@ -63,6 +63,12 @@ class TestRunAll:
         with pytest.raises(ConfigurationError):
             run_all("huge")
 
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        message = f"seed must be a non-negative integer, got {seed!r}"
+        with pytest.raises(ConfigurationError, match=message):
+            run_all(seed=seed)
+
     def test_report_text_shape(self):
         checks = op_checks(seed=1)
         text = format_checks(checks)
@@ -99,10 +105,7 @@ class TestFailureListing:
         p = Parameter(np.array([1.5, -0.5]), "weights")
 
         def bad_square(t):
-            out = ad._node(t.data * t.data, (t,))
-            if out._parents:
-                out._backward = lambda g: ad._accumulate(t, g * t.data)
-            return out
+            return ad._node(t.data * t.data, (t,), lambda g: ad._accumulate(t, g * t.data))
 
         report = ad.grad_check(lambda: bad_square(p).sum(), [p])
         assert not report.passed

@@ -1,6 +1,7 @@
 """Training loop, optimizer, evaluation glue, and checkpoint format."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,7 +411,7 @@ class TestRowSparseAdam:
         paths = [str(tmp_path / f"{name}.ckpt") for name in ("sparse", "dense")]
         save_checkpoint(paths[0], model, tokens)
         save_checkpoint(paths[1], reference, tokens)
-        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+        assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
 
     def test_very_large_vocabulary(self, monkeypatch):
         # 200k rows: a train step must leave the rows no post gathered bitwise
@@ -605,7 +606,7 @@ class TestCheckpoint:
         tokens = ["<pad>", "<unk>", "x"]
         save_checkpoint(p1, model, tokens)
         save_checkpoint(p2, model, tokens)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -727,7 +728,7 @@ class TestCheckpoint:
             blocks[at:at] = [(name, legacy[name]) for name in ("head.weight", "head.bias")]
 
         edit_blocks(path, add_head)
-        assert open(path, "rb").read().count(b"head.weight") == 1
+        assert Path(path).read_bytes().count(b"head.weight") == 1
         restored = restore_model(load_checkpoint(path))
         split = toy_split(n=4, seed=24)
         ids = np.stack([ex.token_ids for ex in split])
@@ -751,6 +752,37 @@ class TestCheckpoint:
         save_checkpoint(path, tiny_model("vi", seed=26), ["<pad>", "<unk>"])
         edit_blocks(path, lambda blocks: blocks.append((name, np.zeros(shape))))
         with pytest.raises(CheckpointError, match="legacy block"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["embedding", "head.bias"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_block_is_checkpoint_error(self, tmp_path, edit_blocks, name, value):
+        path = str(tmp_path / "nan.ckpt")
+        save_checkpoint(path, tiny_model(seed=27), ["<pad>", "<unk>"])
+
+        def poison(blocks):
+            dict(blocks)[name].reshape(-1)[-1] = value
+
+        edit_blocks(path, poison)
+        with pytest.raises(CheckpointError, match=f"non-finite values in block '{name}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "tokens, problem",
+        [
+            (["help", "exam"], "expected <pad>, <unk> first"),
+            (["<unk>", "<pad>", "x"], "expected <pad>, <unk> first"),
+            (["<pad>"], "expected <pad>, <unk> first"),
+            (["<pad>", "<unk>", "x", "y", "x"], "duplicate token 'x'"),
+        ],
+        ids=["other_words", "swapped", "one_token", "duplicate"],
+    )
+    def test_bad_vocab_is_checkpoint_error(self, tmp_path, tokens, problem):
+        # the checks `load_vocabulary` makes of a vocabulary file
+        path = str(tmp_path / "v.ckpt")
+        save_checkpoint(path, tiny_model(seed=28), tokens)
+        message = f"header vocab is not a vocabulary \\({problem}\\)"
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
     def test_missing_block_on_restore(self, tmp_path):
