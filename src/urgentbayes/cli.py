@@ -124,6 +124,18 @@ def _write_effective(cfg: RunConfig, out_dir: str) -> None:
         f.write(cfg.effective_text())
 
 
+def _check_token_ids(examples, data_path: str, vocab, vocab_source: str) -> None:
+    """Fails before any model is built when a dataset uses token ids that
+    its vocabulary does not hold, as when the two come from different
+    `prepare` runs."""
+    top = max(int(ex.token_ids.max()) for ex in examples)
+    if top >= len(vocab):
+        raise DataError(
+            f"dataset {data_path} uses token id {top}, but {vocab_source} holds only "
+            f"{len(vocab)} tokens; were they made by the same prepare run?"
+        )
+
+
 def _load_inputs(args, data_what: str, out_required: bool):
     """The run config, examples, vocabulary, embeddings and output
     directory (created; "" when optional and unset) of train and experiment."""
@@ -138,6 +150,7 @@ def _load_inputs(args, data_what: str, out_required: bool):
         _make_out_dir(out_dir)
     examples = load_dataset(data_path)
     vocab = load_vocabulary(vocab_path)
+    _check_token_ids(examples, data_path, vocab, f"vocabulary {vocab_path}")
     return cfg, examples, vocab, _embeddings(cfg, vocab, args.seed), out_dir
 
 
@@ -179,6 +192,9 @@ def cmd_evaluate(args) -> int:
     data = load_checkpoint(args.checkpoint)
     model = restore_model(data)
     examples = load_dataset(args.test)
+    _check_token_ids(
+        examples, args.test, data.vocabulary(), f"the vocabulary of {args.checkpoint}"
+    )
     report = evaluate(model, examples, RngStream(args.seed).child("eval"))
     _print_json(report.to_dict())
     return EXIT_OK

@@ -4,6 +4,7 @@ sequence encoding, pretrained embeddings, and stratified splits."""
 from __future__ import annotations
 
 import csv
+import math
 import re
 from collections import Counter
 from contextlib import closing
@@ -105,11 +106,12 @@ def save_vocabulary(vocab, path):
 
 def read_text_lines(path, what, error, newline=None):
     """Streams the lines of UTF-8 text file `path`, as `open` with that
-    `newline` yields them; a caller that may stop early closes the
-    generator. A file that cannot be opened, or whose bytes are not UTF-8,
-    raises `error("cannot read <what> <path>: ...")`."""
+    `newline` yields them, skipping a leading byte-order mark; a caller
+    that may stop early closes the generator. A file that cannot be
+    opened, or whose bytes are not UTF-8, raises
+    `error("cannot read <what> <path>: ...")`."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             yield from fh
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
@@ -246,6 +248,8 @@ def load_pretrained_embeddings(path, vocab, d=300, rng=None):
                 values = [float(v) for v in fields[1:]]
             except ValueError:
                 raise ParseError(f"{path}: non-numeric value", line=line_num) from None
+            if not all(map(math.isfinite, values)):
+                raise ParseError(f"{path}: non-finite value", line=line_num)
             row = vocab.token_to_id.get(token)
             if row is not None and row not in matched:
                 matrix[row] = values

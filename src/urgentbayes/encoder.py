@@ -436,6 +436,10 @@ class BaseClassifier:
         if (lengths < 1).any():
             raise DataError("cannot encode an empty sequence (true_length = 0)")
         steps = int(lengths.max())
+        if steps > self.hp.max_len:
+            raise DataError(
+                f"a post of {steps} tokens is longer than the model's max_len {self.hp.max_len}"
+            )
         if ids.shape[1] < steps:
             raise ShapeError("token id rows shorter than stated true lengths")
         return gather_rows(self.embedding, ids[:, :steps])

@@ -3,8 +3,8 @@ active at prediction time.
 
 Masks are applied at three placements: after each recurrent layer
 (reused across timesteps) and on the prediction-layer input.  At
-prediction time the mask set for sample m is derived from the stream key
-(seed, m, placement) and shared across the whole batch, so each of the M
+prediction time sample m's mask at each placement is row m of the stream
+(seed, placement), shared across the whole batch, so each of the M
 stochastic passes behaves like one thinned network evaluated on every
 example.  No mask reaches layer 1's input, so prediction runs layer 1
 once and stacks the M samples through layer 2, attention and the head
@@ -60,43 +60,40 @@ class McdClassifier(BaseClassifier):
         cfg.validate()
         self.cfg = cfg
 
-    def _draw_masks(self, rng, n_rows):
-        rate, h = self.cfg.dropout_rate, self.hp.hidden_dim
-        widths = {AFTER_LAYER_1: h, AFTER_LAYER_2: h, PREDICTION_INPUT: 2 * h}
-        masks = {}
-        for placement, width in widths.items():
-            keep = rng.child(placement).generator().random((n_rows, width)) >= rate
-            masks[placement] = keep / (1.0 - rate)
-        return masks
-
     def _placement_masks(self, n_rows, rng):
-        """Training: one mask row per batch element per placement, reused
-        across timesteps.  Rate 0 disables masking entirely."""
-        if self.cfg.dropout_rate == 0.0:
+        """Scaled keep-masks, (n_rows, width) per placement; row i of a
+        placement is row i of the `rng.child(placement)` stream, whatever
+        `n_rows` is.  Training takes one row per batch element, reused
+        across timesteps; prediction one row per sample.  Rate 0 disables
+        masking entirely."""
+        rate, h = self.cfg.dropout_rate, self.hp.hidden_dim
+        if rate == 0.0:
             return None
         if rng is None:
             raise UsageError("a random stream is required when dropout is active")
-        return self._draw_masks(rng, n_rows)
+        widths = {AFTER_LAYER_1: h, AFTER_LAYER_2: h, PREDICTION_INPUT: 2 * h}
+        return {
+            p: (rng.child(p).generator().random((n_rows, w)) >= rate) / (1.0 - rate)
+            for p, w in widths.items()
+        }
 
     def sample_logits(self, ids, lengths, rng, sample_indices):
         """Stochastic prediction passes, one per sample index: returns
-        (k, n, 2) logits.  Sample m's masks are keyed by (rng, m,
-        placement) and shared by every post in the batch; all k samples
-        run stacked through one `infer_logits` call."""
+        (k, n, 2) logits.  Sample m's masks are row m of each placement's
+        mask stream, shared by every post in the batch; all k samples run
+        stacked through one `infer_logits` call."""
         n = len(lengths)
         indices = list(sample_indices)
-        if self.cfg.dropout_rate == 0.0:
+        masks = self._placement_masks(max(indices) + 1, rng)
+        if masks is None:
             # every pass is the deterministic one; no need to run it k times
             return np.tile(self.infer_logits(ids, lengths), (len(indices), 1, 1))
-        draws = [self._draw_masks(rng.child(k), 1) for k in indices]
-        masks = {}
-        for placement in draws[0]:
-            rows = np.concatenate([d[placement] for d in draws])     # (k, width)
-            masks[placement] = np.broadcast_to(rows[:, None], (len(indices), n, rows.shape[1]))
+        masks = {
+            p: np.broadcast_to(m[indices, None], (len(indices), n, m.shape[1]))
+            for p, m in masks.items()
+        }
         return self.infer_logits(ids, lengths, masks).reshape(len(indices), n, NUM_CLASSES)
 
     def predict_batch(self, ids, lengths, rng=None):
-        if self.cfg.dropout_rate > 0.0 and rng is None:
-            raise UsageError("a random stream is required when dropout is active")
         samples = self.sample_logits(ids, lengths, rng, range(self.cfg.num_samples))
         return aggregate_logit_samples(samples)

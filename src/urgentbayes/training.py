@@ -141,24 +141,22 @@ def adaptive_moment_step(
             p.data[rows], m[rows], v[rows] = p_rows, m_rows, v_rows
 
 
-def _check_finite_gradients(params: list[Parameter]) -> None:
-    for p in params:
-        _check_finite(p.grad, f"the gradient of {p.name}")
+def clip_gradient_norm(params: list[Parameter], max_norm: float | None) -> float:
+    """Scale all gradients so their joint L2 norm is at most max_norm;
+    with max_norm None, measure the norm and scale nothing.
 
-
-def clip_gradient_norm(params: list[Parameter], max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm.
-
-    Returns the pre-clip norm. Raises NonFiniteError when a gradient holds
-    NaN or Inf (scaling by a non-finite norm would turn it into NaN).
+    Returns the pre-clip norm. Raises NonFiniteError, naming the
+    parameter, when a gradient holds NaN or Inf (scaling by a non-finite
+    norm would turn it into NaN).
     """
     total = 0.0
     for p in params:
         total += float(np.sum(p.grad * p.grad))
     norm = math.sqrt(total)
     if not math.isfinite(norm):
-        _check_finite_gradients(params)
-    if norm > max_norm:
+        for p in params:
+            _check_finite(p.grad, f"the gradient of {p.name}")
+    if max_norm is not None and norm > max_norm:
         scale = max_norm / norm
         for p in params:
             p.grad *= scale
@@ -228,12 +226,9 @@ def train(
                 for p in params:
                     p.zero_grad()
                 backward(loss)
-                # a NaN or Inf gradient must not reach the weights; clipping
-                # finds one through its norm
-                if cfg.gradient_clip_norm is not None:
-                    clip_gradient_norm(params, cfg.gradient_clip_norm)
-                else:
-                    _check_finite_gradients(params)
+                # a NaN or Inf gradient must not reach the weights; the
+                # norm finds one
+                clip_gradient_norm(params, cfg.gradient_clip_norm)
             except NonFiniteError as exc:
                 raise DivergenceError(
                     f"training diverged at epoch {epoch}, step {global_step}: {exc}"

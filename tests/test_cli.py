@@ -576,9 +576,34 @@ def test_every_error_class_exits_with_its_code(monkeypatch, capsys, error):
     assert run_cli(capsys, ["gradcheck"]) == (EXIT_CODES[error], "", "error: boom\n")
 
 
+@pytest.fixture(scope="module")
+def narrow_inputs(workspace, tmp_path_factory):
+    """Base checkpoints from other `prepare` runs of the workspace posts:
+    one at max_len 5 with the workspace vocabulary, and one whose
+    vocabulary holds only the special tokens."""
+    root = tmp_path_factory.mktemp("narrow")
+    cfg = root / "short.cfg"
+    cfg.write_text(TINY_CFG.replace("max_len = 8", "max_len = 5"))
+    checkpoints = {}
+    for name, flags in (("short", []), ("specials", ["--min-freq", "1000"])):
+        prepared = root / name
+        for argv in (
+            ["prepare", "--data", workspace["csv"], "--out", str(prepared),
+             "--config", str(cfg), *flags],
+            ["train", "--model", "base", "--config", str(cfg),
+             "--data", str(prepared / "dataset.npz"), "--vocab", str(prepared / "vocab.txt"),
+             "--out", str(prepared)],
+        ):
+            assert main(argv) == 0
+        checkpoints[name] = str(prepared / "model_base.ckpt")
+    assert (root / "short" / "vocab.txt").read_text() == Path(workspace["vocab"]).read_text()
+    return {"cfg": str(cfg), **checkpoints}
+
+
 class TestMalformedInputs:
-    """Inputs that are not UTF-8 or otherwise malformed end in one
-    `error:` line and the exit code of the reader's error class."""
+    """Inputs that are not UTF-8, otherwise malformed, or well formed but
+    not fitting together end in one `error:` line and the exit code of the
+    error's class."""
 
     def assert_clean_error(self, capsys, argv, code, *fragments):
         got, _, err = run_cli(capsys, argv)
@@ -669,4 +694,62 @@ class TestMalformedInputs:
         self.assert_clean_error(
             capsys, ["predict", "--checkpoint", str(bad), "--text", "the quiz"], 2,
             "header is not a JSON object",
+        )
+
+    def test_non_finite_embedding(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "nan.vec"
+        bad.write_text("the 0.1 0.2 0.3 0.4\nquiz nan nan nan nan\n")
+        cfg = tmp_path / "vec.cfg"
+        cfg.write_text(TINY_CFG + f"embeddings_path = {bad}\n")
+        self.assert_clean_error(
+            capsys, self.train_argv(workspace, tmp_path, config=str(cfg)), 2,
+            f"line 2: {bad}: non-finite value",
+        )
+
+    def longest_post(self, workspace):
+        with np.load(workspace["dataset"]) as archive:
+            return int(archive["true_lengths"].max())
+
+    def test_train_on_posts_longer_than_max_len(self, workspace, narrow_inputs, tmp_path, capsys):
+        longest = self.longest_post(workspace)
+        assert longest > 5
+        self.assert_clean_error(
+            capsys, self.train_argv(workspace, tmp_path, config=narrow_inputs["cfg"]), 2,
+            f"a post of {longest} tokens", "max_len 5",
+        )
+        assert not (tmp_path / "o" / "model_base.ckpt").exists()
+
+    def test_evaluate_on_posts_longer_than_max_len(self, workspace, narrow_inputs, capsys):
+        argv = ["evaluate", "--checkpoint", narrow_inputs["short"], "--test", workspace["dataset"]]
+        self.assert_clean_error(
+            capsys, argv, 2, f"a post of {self.longest_post(workspace)} tokens", "max_len 5",
+        )
+
+    @pytest.fixture
+    def small_vocab(self, tmp_path):
+        path = tmp_path / "small_vocab.txt"
+        path.write_text("<pad>\n<unk>\na\nb\nc\n")
+        return str(path)
+
+    def test_train_with_vocabulary_of_another_prepare(self, workspace, tmp_path, capsys, small_vocab):
+        self.assert_clean_error(
+            capsys, self.train_argv(workspace, tmp_path, vocab=small_vocab), 2,
+            f"dataset {workspace['dataset']}", f"vocabulary {small_vocab} holds only 5 tokens",
+        )
+
+    def test_experiment_with_vocabulary_of_another_prepare(self, workspace, capsys, small_vocab):
+        argv = ["experiment", "--protocol", "80_20", "--runs", "1", "--models", "base",
+                "--config", workspace["cfg"], "--data", workspace["dataset"],
+                "--vocab", small_vocab]
+        self.assert_clean_error(
+            capsys, argv, 2,
+            f"dataset {workspace['dataset']}", f"vocabulary {small_vocab} holds only 5 tokens",
+        )
+
+    def test_evaluate_with_checkpoint_of_another_prepare(self, workspace, narrow_inputs, capsys):
+        checkpoint = narrow_inputs["specials"]
+        argv = ["evaluate", "--checkpoint", checkpoint, "--test", workspace["dataset"]]
+        self.assert_clean_error(
+            capsys, argv, 2,
+            f"dataset {workspace['dataset']}", f"the vocabulary of {checkpoint} holds only 2 tokens",
         )

@@ -134,6 +134,12 @@ class TestLoad:
         cfg = load_config(str(p))
         assert cfg.train_cfg.epochs == 2 and cfg.hp.hidden_dim == 8
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(EVERY_KEY, encoding="utf-8")
+        marked.write_text("\ufeff" + EVERY_KEY, encoding="utf-8")
+        assert load_config(str(marked)) == load_config(str(plain)) == parse_config(EVERY_KEY)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):
             load_config(str(tmp_path / "absent.cfg"))

@@ -262,6 +262,14 @@ class TestEmbeddings:
         with pytest.raises(ParseError):
             load_pretrained_embeddings(path, self._vocab(), d=3)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_is_parse_error(self, tmp_path, value):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"cat 0.1 0.2 0.3\ndog 0.1 {value} 0.3\n")
+        with pytest.raises(ParseError, match=f"line 2: {path}: non-finite value") as exc_info:
+            load_pretrained_embeddings(path, self._vocab(), d=3)
+        assert exc_info.value.line == 2
+
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
             load_pretrained_embeddings(tmp_path / "absent.txt", self._vocab(), d=3)
@@ -292,6 +300,35 @@ class TestEmbeddings:
         assert a.matrix.shape == (len(vocab), 8)
         np.testing.assert_array_equal(a.matrix, b.matrix)
         assert a.coverage == 0.0
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as spreadsheet exports write, is
+    skipped: each text input reads the same with it as without it."""
+
+    def _pair(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        return plain, marked
+
+    def test_posts_csv(self, tmp_path):
+        plain, marked = self._pair(tmp_path, "text,urgency,course_id\nhelp now,6.0,c\n")
+        assert load_posts(marked) == load_posts(plain) == [RawPost("help now", 6.0, "c")]
+
+    def test_vocabulary(self, tmp_path):
+        plain, marked = self._pair(tmp_path, "<pad>\n<unk>\nhelp\n")
+        assert load_vocabulary(marked).id_to_token == load_vocabulary(plain).id_to_token
+
+    @pytest.mark.parametrize("header", ["", "1 3\n"], ids=["bare", "header"])
+    def test_embeddings(self, tmp_path, header):
+        vocab = build_vocabulary([["cat", "dog"]], min_frequency=1)
+        plain, marked = self._pair(tmp_path, header + "cat 1.0 2.0 3.0\n")
+        a = load_pretrained_embeddings(plain, vocab, d=3, rng=RngStream(1))
+        b = load_pretrained_embeddings(marked, vocab, d=3, rng=RngStream(1))
+        assert a.matched == b.matched == 1
+        assert a.matrix.tobytes() == b.matrix.tobytes()
 
 
 def _labeled(n0, n1):

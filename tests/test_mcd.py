@@ -190,12 +190,12 @@ class TestPrediction:
 
 def per_sample_reference(mcd, ids, lengths, rng, num_samples):
     """Each sample's logits from its own `infer_logits` call, with that
-    sample's masks repeated for every post, as the graph forward takes
-    them."""
+    sample's masks (row k of each placement's mask stream) repeated for
+    every post, as the graph forward takes them."""
+    rows = mcd._placement_masks(num_samples, rng)
     out = []
     for k in range(num_samples):
-        masks = mcd._draw_masks(rng.child(k), 1)
-        masks = {p: np.repeat(m, len(lengths), axis=0) for p, m in masks.items()}
+        masks = {p: np.repeat(m[k : k + 1], len(lengths), axis=0) for p, m in rows.items()}
         out.append(mcd.infer_logits(ids, lengths, masks))
     return np.stack(out)
 
@@ -224,7 +224,7 @@ class TestStackedSamples:
         reference = per_sample_reference(mcd, ids, lengths, rng, 9)
         assert stacked.tobytes() == reference.tobytes()
         graph = mcd.batch_logits(ids, lengths, {
-            p: np.repeat(m, n, axis=0) for p, m in mcd._draw_masks(rng.child(4), 1).items()
+            p: np.repeat(m[4:5], n, axis=0) for p, m in mcd._placement_masks(9, rng).items()
         })
         assert stacked[4].tobytes() == graph.data.tobytes()
 
@@ -251,6 +251,44 @@ class TestStackedSamples:
         assert calls == {"layer1": 1, "layer2": 3}
         for a, b in zip(one_block, blocked):
             assert a.per_sample_logits.tobytes() == b.per_sample_logits.tobytes()
+
+    def test_mask_rows_do_not_depend_on_row_count(self):
+        _, mcd = make_pair(rate=0.3)
+        rng = RngStream(71)
+        few, many = mcd._placement_masks(10, rng), mcd._placement_masks(50, rng)
+        assert few.keys() == many.keys()
+        for p in few:
+            assert few[p].tobytes() == many[p][:10].tobytes()
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_sample_drawn_alone_equals_its_row_of_the_block(self, n):
+        _, mcd = make_pair(rate=0.3)
+        ids, lengths = batch(seed=n, n=n)
+        rng = RngStream(73)
+        block = mcd.sample_logits(ids, lengths, rng, range(12))
+        for m in (0, 5, 11):
+            assert mcd.sample_logits(ids, lengths, rng, [m])[0].tobytes() == block[m].tobytes()
+
+    def test_training_masks_keep_their_keys(self):
+        rate = 0.3
+        _, mcd = make_pair(rate=rate)
+        rng = RngStream(79).child("step", 2)
+        widths = {encoder.AFTER_LAYER_1: 4, encoder.AFTER_LAYER_2: 4, encoder.PREDICTION_INPUT: 8}
+        masks = mcd._placement_masks(6, rng)
+        assert masks.keys() == widths.keys()
+        for p, w in widths.items():
+            want = (rng.child(p).generator().random((6, w)) >= rate) / (1 - rate)
+            assert masks[p].tobytes() == want.tobytes()
+
+    def test_prediction_needs_stream_only_when_dropout_is_active(self):
+        ids, lengths = batch(n=2)
+        _, mcd = make_pair(rate=0.3)
+        with pytest.raises(UsageError, match="random stream is required"):
+            mcd.predict_batch(ids, lengths)
+        with pytest.raises(UsageError, match="random stream is required"):
+            mcd.sample_logits(ids, lengths, None, [0])
+        _, mcd0 = make_pair(rate=0.0, num_samples=3)
+        assert len(mcd0.predict_batch(ids, lengths)) == 2
 
     def test_layer1_runs_once_per_predict_batch(self, monkeypatch):
         _, mcd = make_pair(rate=0.3, num_samples=50)

@@ -173,6 +173,26 @@ class TestClip:
             clip_gradient_norm([a, b], 5.0)
         assert a.grad.tolist() == [3.0, 3.0]
 
+    def test_none_measures_and_never_scales(self):
+        rng = np.random.default_rng(5)
+        params = [Parameter(np.zeros((3, 4)), "a"), Parameter(np.zeros(5), "b")]
+        for p in params:
+            p.grad[...] = 100.0 * rng.normal(size=p.data.shape)
+        before = [p.grad.copy() for p in params]
+        norm = clip_gradient_norm(params, None)
+        assert norm == math.sqrt(sum(float(np.sum(g * g)) for g in before))
+        assert norm > 5.0
+        for p, g in zip(params, before):
+            assert p.grad.tobytes() == g.tobytes()
+
+    def test_none_names_a_non_finite_gradient(self):
+        a = Parameter(np.zeros(2), "a")
+        b = Parameter(np.zeros(1), "b")
+        a.grad[...] = 3.0
+        b.grad[...] = np.nan
+        with pytest.raises(NonFiniteError, match="gradient of b"):
+            clip_gradient_norm([a, b], None)
+
 
 class TestTrainLoop:
     def test_zero_epochs_params_unchanged(self):
@@ -294,6 +314,21 @@ class TestTrainLoop:
             train(model, toy_split(), cfg)
         for p, b in zip(model.parameters(), before):
             assert p.data.tobytes() == b.tobytes(), p.name
+
+    @pytest.mark.parametrize("clip", [5.0, None])
+    def test_every_step_measures_its_gradient_norm(self, monkeypatch, clip):
+        calls = []
+        real = training.clip_gradient_norm
+
+        def recording(params, max_norm):
+            calls.append(max_norm)
+            return real(params, max_norm)
+
+        monkeypatch.setattr(training, "clip_gradient_norm", recording)
+        result = train(tiny_model(seed=2), toy_split(), TrainConfig(
+            epochs=2, batch_size=5, gradient_clip_norm=clip
+        ))
+        assert calls == [clip] * result.n_steps == [clip] * 6
 
 
 def dense_adam(datas, grads, first, second, t, lr):
