@@ -327,6 +327,8 @@ def load_dataset(path):
         raise DataError(f"{path}: dataset is empty")
     if (lengths < 1).any() or (lengths > ids.shape[1]).any():
         raise FormatError(f"{path}: true lengths out of range")
+    if (ids < 0).any():
+        raise FormatError(f"{path}: token ids must be non-negative, found {int(ids.min())}")
     if not np.isin(labels, (0, 1)).all():
         raise FormatError(f"{path}: labels must be 0 or 1")
     return [

@@ -3,14 +3,16 @@ dot-product attention over the top layer's states, and an affine
 prediction head on (context ⊕ final state).
 
 There is one forward implementation.  Each recurrent layer is a single
-tape op over the whole padded `(n, T, d)` batch (`lstm_layer`, with a
-hand-written backpropagation-through-time backward), and attention is a
-single length-masked op over the `(n, T, hidden)` states (`attend`).
-Training records them on the autodiff tape; prediction runs the same ops
-under `no_grad`, so the zero-dropout Bayesian variant agrees with the
-deterministic model bit for bit by construction.  Prediction can stack
-several dropout samples of one batch: layer 1 then runs once, and layer
-2, attention and the head run over blocks of samples (`infer_states`).  Only the head
+tape op over the padded `(n, T, d)` batch that runs each row over its real
+positions only, as a packed sequence (`lstm_layer`, with a hand-written
+backpropagation-through-time backward; the states at padded positions are
+zeros), and attention is a single length-masked op over the `(n, T,
+hidden)` states (`attend`).  Training records them on the autodiff tape;
+prediction runs the same ops under `no_grad`, so the zero-dropout
+Bayesian variant agrees with the deterministic model bit for bit by
+construction.  Prediction can stack several dropout samples of one batch:
+layer 1 then runs once, and layer 2, attention and the head run over
+blocks of samples (`infer_states`).  Only the head
 (`_build_head`, `_head`) differs by kind; vi's is its reconstruction
 head with the latent code at the prior mean.  Every kind's `predict_batch`
 builds an (M, n, 2) block of sample logits (M = 1 here) and makes one
@@ -49,7 +51,7 @@ from .autodiff import (
     transpose,
 )
 from .errors import ConfigurationError, DataError, ShapeError, UsageError
-from .metrics import NUM_CLASSES, predictive_entropy
+from .metrics import NUM_CLASSES, _entropy
 
 log = logging.getLogger(__name__)
 
@@ -58,6 +60,8 @@ MODEL_KINDS = ("base", "mcd", "vi")
 
 # size bound of one block of LSTM input projections (see lstm_layer)
 PROJECTION_BLOCK_BYTES = 2 << 20
+# fewest rows a step of lstm_layer multiplies (see lstm_layer)
+MIN_ACTIVE_ROWS = 2
 
 # dropout placement indices shared with the Monte Carlo variant
 AFTER_LAYER_1 = 0
@@ -137,15 +141,29 @@ def lstm_step(params, h_prev, c_prev, x):
     return h, c
 
 
-def lstm_layer(params, x, out=None):
+def lstm_layer(params, x, lengths=None, out=None):
     """Runs one layer from zero state over a padded (n, T, input_dim) batch
-    and returns its hidden states, (n, T, hidden).
+    whose row i has lengths[i] real positions (all T when `lengths` is
+    None) and returns its hidden states, (n, T, hidden), zero at the
+    padded positions.
 
-    One tape op: the input projection is one matmul per block of
-    timesteps, and the recurrence follows `lstm_step`'s gate order and
-    arithmetic.  Gate activations and cell states are kept only when a
-    gradient can flow; the backward is hand-written backpropagation
-    through time.
+    One tape op over a packed batch, as cuDNN and PyTorch pack padded
+    sequences: the rows are taken longest first, and step t runs only the
+    rows longer than t, in the input projection (one matmul per block of
+    timesteps), the recurrence and backpropagation through time.  The
+    recurrence follows `lstm_step`'s gate order and arithmetic.  Gate
+    activations and cell states are kept only when a gradient can flow;
+    the backward is hand-written, and its weight-gradient products run
+    over every position in the batch's own row order.
+
+    The valid states and every gradient are bitwise what the recurrence
+    over every position gives wherever BLAS rounds a row of a product
+    alike whatever other rows the product holds.  OpenBLAS does not in two
+    cases, which the op avoids: a one-row product (a matrix-vector kernel;
+    a step keeps at least MIN_ACTIVE_ROWS rows), and the backward's product
+    with the transposed recurrent weights below a row count that depends
+    on the width (a small-matrix kernel; that product keeps all n rows,
+    the finished ones zero).
 
     Without a gradient the states may be written into `out`, an (n, T,
     hidden) array that may be x's own: each block of inputs is projected
@@ -157,6 +175,22 @@ def lstm_layer(params, x, out=None):
         )
     n, steps, d = x.data.shape
     hd = params.hidden_dim
+    lengths = np.full(n, steps) if lengths is None else np.asarray(lengths)
+    if lengths.shape != (n,):
+        raise ShapeError(f"lstm_layer expects {n} lengths, got shape {lengths.shape}")
+    order = np.argsort(-lengths, kind="stable")
+    ranked = lengths[order]
+    if n and (ranked[-1] < 0 or ranked[0] > steps):
+        raise ShapeError(f"lstm_layer expects lengths in [0, {steps}], got {lengths}")
+    # valid[t]: the number of rows longer than t, which come first in `order`
+    valid = np.searchsorted(-ranked, -np.arange(steps)).tolist()
+    floor = min(n, MIN_ACTIVE_ROWS)
+    in_order = bool((order[1:] > order[:-1]).all())
+
+    def longest(k):
+        """Indexes the k longest rows; a slice if they are the first k."""
+        return slice(k) if in_order else order[:k]
+
     # input projections for blocks of timesteps of about 2 MB each, so that
     # a large prediction batch never holds an (n, T, 4*hidden) temporary
     block = max(1, PROJECTION_BLOCK_BYTES // (n * 4 * hd * 8))
@@ -164,55 +198,59 @@ def lstm_layer(params, x, out=None):
     if out is not None and keep:
         raise UsageError("lstm_layer writes into `out` only when no gradient is recorded")
     states = np.empty((n, steps, hd)) if out is None else out
+    # saved per step for the active rows, in `order`'s row order
     gates = np.empty((n, steps, 4 * hd)) if keep else None   # activated i, f, g, o
     cells = np.empty((n, steps, hd)) if keep else None
     h = np.zeros((n, hd))
     c = np.zeros((n, hd))
     for t in range(steps):
+        k = max(valid[t], floor)
         if t % block == 0:
-            window = x.data[:, t : t + block]
-            projected = window.reshape(-1, d) @ wx.data
+            projected = x.data[longest(k), t : t + block].reshape(-1, d) @ wx.data
             projected += bias.data
-            projected = projected.reshape(n, window.shape[1], 4 * hd)
-        pre = projected[:, t % block] + h @ wh.data
+            projected = projected.reshape(k, -1, 4 * hd)
+        pre = projected[:k, t % block] + h[:k] @ wh.data
         act = logistic(pre)
         act[:, 2 * hd : 3 * hd] = np.tanh(pre[:, 2 * hd : 3 * hd])
         if keep:
             # the gates saturate, so an overflow here would not reach the
             # output; training detects divergence through this check
             _check_finite(pre, "LSTM pre-activation")
-            gates[:, t] = act
-        c = act[:, hd : 2 * hd] * c + act[:, :hd] * act[:, 2 * hd : 3 * hd]
-        h = act[:, 3 * hd :] * np.tanh(c)
-        states[:, t] = h
+            gates[:k, t] = act
+        c[:k] = act[:, hd : 2 * hd] * c[:k] + act[:, :hd] * act[:, 2 * hd : 3 * hd]
+        h[:k] = act[:, 3 * hd :] * np.tanh(c[:k])
+        states[longest(valid[t]), t] = h[: valid[t]]
         if keep:
-            cells[:, t] = c
+            cells[:k, t] = c[:k]
+    if valid and valid[-1] < n:
+        states[np.arange(steps) >= lengths[:, None]] = 0.0
 
     def bwd(g):
-        i, f = gates[..., :hd], gates[..., hd : 2 * hd]
-        cand, o = gates[..., 2 * hd : 3 * hd], gates[..., 3 * hd :]
-        tanh_c = np.tanh(cells)
-        # d(gate)/d(pre-activation), and dc_t/dh_t through h = o * tanh(c)
-        slope = gates * (1.0 - gates)
-        slope[..., 2 * hd : 3 * hd] = 1.0 - cand * cand
-        through_c = o * (1.0 - tanh_c * tanh_c)
-        prev_c = np.zeros((n, steps, hd))
-        prev_c[:, 1:] = cells[:, :-1]
-        d_pre = np.empty((n, steps, 4 * hd))
+        d_pre = np.zeros((n, steps, 4 * hd))    # stays 0 at padded positions
+        dp_rows = np.zeros((n, 4 * hd))         # rows past valid[t] stay 0
         wh_t = wh.data.T
         dh_next = np.zeros((n, hd))
         dc_next = np.zeros((n, hd))
         for t in range(steps - 1, -1, -1):
-            dh = g[:, t] + dh_next
-            dc = dc_next + dh * through_c[:, t]
-            dp = d_pre[:, t]
-            dp[:, :hd] = dc * cand[:, t]
-            dp[:, hd : 2 * hd] = dc * prev_c[:, t]
-            dp[:, 2 * hd : 3 * hd] = dc * i[:, t]
-            dp[:, 3 * hd :] = dh * tanh_c[:, t]
-            dp *= slope[:, t]
-            dh_next = dp @ wh_t
-            dc_next = dc * f[:, t]
+            k = valid[t]
+            act, c_t = gates[:k, t], cells[:k, t]
+            i, f = act[:, :hd], act[:, hd : 2 * hd]
+            cand, o = act[:, 2 * hd : 3 * hd], act[:, 3 * hd :]
+            tanh_c = np.tanh(c_t)
+            # d(gate)/d(pre-activation), and dc_t/dh_t through h = o * tanh(c)
+            slope = act * (1.0 - act)
+            slope[:, 2 * hd : 3 * hd] = 1.0 - cand * cand
+            dh = g[longest(k), t] + dh_next[:k]
+            dc = dc_next[:k] + dh * (o * (1.0 - tanh_c * tanh_c))
+            dp = dp_rows[:k]
+            dp[:, :hd] = dc * cand
+            dp[:, hd : 2 * hd] = dc * (cells[:k, t - 1] if t else 0.0)
+            dp[:, 2 * hd : 3 * hd] = dc * i
+            dp[:, 3 * hd :] = dh * tanh_c
+            dp *= slope
+            d_pre[longest(k), t] = dp
+            dh_next = dp_rows @ wh_t
+            dc_next[:k] = dc * f
         flat = d_pre.reshape(n * steps, 4 * hd)
         if x.requires_grad:
             _accumulate(x, (flat @ wx.data.T).reshape(n, steps, d))
@@ -374,7 +412,7 @@ def aggregate_logit_samples(sample_logits):
     ]
     fields = zip(
         mean_probs, mean_logits, block.transpose(1, 0, 2),
-        predictive_entropy(mean_probs).tolist(), np.argmax(mean_probs, axis=1).tolist(), errors,
+        _entropy(mean_probs).tolist(), np.argmax(mean_probs, axis=1).tolist(), errors,
     )
     return [PredictiveDistribution(*post) for post in fields]
 
@@ -447,14 +485,14 @@ class BaseClassifier:
     def _encode(self, ids, lengths, masks):
         """Runs the recurrent stack over a batch padded to its longest row:
         returns the top layer's states, (n, T, hidden) with T =
-        lengths.max(), and each row's state at its last real token,
-        (n, hidden).  Dropout masks are (rows, hidden) and shared across
-        timesteps."""
+        lengths.max() and zeros past each row's length, and each row's
+        state at its last real token, (n, hidden).  Dropout masks are
+        (rows, hidden) and shared across timesteps."""
         lengths = np.asarray(lengths)
-        hidden = lstm_layer(self.layer1, self._embed(ids, lengths))
+        hidden = lstm_layer(self.layer1, self._embed(ids, lengths), lengths)
         if masks is not None:
             hidden = hidden * masks[AFTER_LAYER_1][:, None, :]
-        states = lstm_layer(self.layer2, hidden)
+        states = lstm_layer(self.layer2, hidden, lengths)
         if masks is not None:
             states = states * masks[AFTER_LAYER_2][:, None, :]
         return states, states[np.arange(len(lengths)), lengths - 1]
@@ -501,7 +539,7 @@ class BaseClassifier:
         lengths = np.asarray(lengths)
         n = len(lengths)
         with no_grad():
-            lower = lstm_layer(self.layer1, self._embed(ids, lengths)).data
+            lower = lstm_layer(self.layer1, self._embed(ids, lengths), lengths).data
             _, steps, h = lower.shape
             stacked = {} if masks is None else {
                 p: m.reshape(-1, n, 1, m.shape[-1]) for p, m in masks.items()
@@ -521,10 +559,10 @@ class BaseClassifier:
                 if stacked:
                     np.multiply(lower, stacked[AFTER_LAYER_1][k : k + b], out=states)
                 states = states.reshape(b * n, steps, h)
-                lstm_layer(self.layer2, Tensor(states), out=states)
+                block_lengths = np.tile(lengths, b)
+                lstm_layer(self.layer2, Tensor(states), block_lengths, out=states)
                 if stacked:
                     states.reshape(b, n, steps, h)[:] *= stacked[AFTER_LAYER_2][k : k + b]
-                block_lengths = np.tile(lengths, b)
                 finals = states[np.arange(b * n), block_lengths - 1]
                 contexts = attend(
                     Tensor(states), Tensor(finals), block_lengths, self.hp.attention_mode

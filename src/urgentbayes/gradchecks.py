@@ -76,6 +76,10 @@ def op_checks(seed: int) -> list[NamedCheck]:
     states = _param(gen, (3, 4, 2), "states", lo=0.5, hi=2.0)
     query = _param(gen, (3, 2), "query", lo=0.5, hi=2.0)
     context_weights = gen.normal(size=(3, 2))
+    # more rows than lstm_layer's MIN_ACTIVE_ROWS, so the active prefix shrinks
+    mixed = _param(gen, (5, 4, 3), "mixed", lo=-1.0, hi=1.0)
+    mixed_lengths = np.array([2, 4, 1, 3, 1])
+    mixed_weights = gen.normal(size=(5, 4, 2))
 
     cases = [
         ("add", lambda: (a + b).sum(), [a, b]),
@@ -105,6 +109,11 @@ def op_checks(seed: int) -> list[NamedCheck]:
             "lstm_layer",
             lambda: (lstm_layer(layer, seq) * seq_weights).sum(),
             [seq] + layer.parameters(),
+        ),
+        (
+            "lstm_layer_mixed",
+            lambda: (lstm_layer(layer, mixed, mixed_lengths) * mixed_weights).sum(),
+            [mixed] + layer.parameters(),
         ),
         (
             "attention_softmax",

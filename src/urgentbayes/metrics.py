@@ -23,10 +23,16 @@ def predictive_entropy(probs):
     total = p.sum(axis=-1)
     if (np.abs(total - 1.0) > 1e-6).any():
         raise DomainError(f"probabilities must sum to 1, got {total}")
+    h = _entropy(p)
+    return float(h) if h.ndim == 0 else h
+
+
+def _entropy(p):
+    """`predictive_entropy` of a float64 array of valid probability
+    vectors, unchecked: an array of one entropy per vector."""
     positive = np.where(p > 0, p, 1.0)    # 1 * ln 1 = 0 stands in for the rest
     h = -(positive * np.log(positive)).sum(axis=-1)
-    h = np.where(h > 0.0, h, 0.0)
-    return float(h) if h.ndim == 0 else h
+    return np.where(h > 0.0, h, 0.0)
 
 
 def confusion_matrix(y_true, y_pred):

@@ -612,9 +612,9 @@ class TestMalformedInputs:
         for fragment in fragments:
             assert fragment in err
 
-    def train_argv(self, workspace, tmp_path, config=None, vocab=None):
+    def train_argv(self, workspace, tmp_path, config=None, vocab=None, data=None):
         return ["train", "--model", "base", "--config", config or workspace["cfg"],
-                "--data", workspace["dataset"], "--vocab", vocab or workspace["vocab"],
+                "--data", data or workspace["dataset"], "--vocab", vocab or workspace["vocab"],
                 "--out", str(tmp_path / "o")]
 
     def test_config_not_utf8(self, workspace, tmp_path, capsys):
@@ -669,6 +669,28 @@ class TestMalformedInputs:
         self.assert_clean_error(
             capsys, ["evaluate", "--checkpoint", mcd_checkpoint, "--test", str(bad)], 2,
             f"{key!r} has dtype float64",
+        )
+
+    @pytest.fixture
+    def negative_id_dataset(self, workspace, tmp_path):
+        with np.load(workspace["dataset"]) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        arrays["token_ids"][0, 0] = -3
+        path = tmp_path / "negative.npz"
+        np.savez(path, **arrays)
+        return str(path)
+
+    def test_train_on_negative_token_id(self, workspace, tmp_path, capsys, negative_id_dataset):
+        self.assert_clean_error(
+            capsys, self.train_argv(workspace, tmp_path, data=negative_id_dataset), 2,
+            f"{negative_id_dataset}: token ids must be non-negative, found -3",
+        )
+        assert not (tmp_path / "o" / "model_base.ckpt").exists()
+
+    def test_evaluate_on_negative_token_id(self, mcd_checkpoint, capsys, negative_id_dataset):
+        self.assert_clean_error(
+            capsys, ["evaluate", "--checkpoint", mcd_checkpoint, "--test", negative_id_dataset], 2,
+            f"{negative_id_dataset}: token ids must be non-negative, found -3",
         )
 
     def test_block_name_not_utf8(self, mcd_checkpoint, tmp_path, capsys, edit_blocks):

@@ -1,9 +1,11 @@
 """The fused whole-sequence ops against the step-by-step reference.
 
-`lstm_layer` must match a loop of `lstm_step`, and `attend` must match
-per-example `attention_scores` + `context_vector`, in outputs and in every
-gradient, to 1e-12.  The whole model is also checked against the
-per-timestep, per-example composition the fused ops replaced."""
+`lstm_layer` must match a loop of `lstm_step` at the valid positions, and
+`attend` must match per-example `attention_scores` + `context_vector`, in
+outputs and in every gradient, to 1e-12.  The whole model is also checked
+against the per-timestep, per-example composition the fused ops replaced.
+`lstm_layer`, which skips padded positions, must also match the dense
+recurrence over every position (`dense_lstm_layer`) bit for bit."""
 
 import logging
 
@@ -15,11 +17,16 @@ from urgentbayes.autodiff import (
     Parameter,
     RngStream,
     Tensor,
+    _accumulate,
+    _check_finite,
+    _node,
     affine,
     backward,
     concat,
     cross_entropy_from_logits,
     gather_rows,
+    is_recording,
+    logistic,
     no_grad,
 )
 from urgentbayes.encoder import (
@@ -80,7 +87,7 @@ def looped_layer(layer, x):
     return out
 
 
-SHAPES = [(1, 1, 3, 2), (3, 1, 4, 5), (4, 7, 3, 2), (2, 5, 6, 4), (5, 3, 1, 3)]
+SHAPES = [(1, 1, 3, 2), (3, 1, 4, 5), (4, 7, 3, 2), (2, 5, 6, 4), (5, 3, 1, 3), (6, 8, 3, 4)]
 
 
 @pytest.mark.parametrize("n,steps,d,h", SHAPES)
@@ -88,23 +95,118 @@ def test_lstm_layer_matches_step_loop(n, steps, d, h):
     gen = np.random.default_rng(100 * n + steps)
     layer = init_lstm_layer(d, h, RngStream(n + steps).child("layer"), "layer")
     x = Parameter(gen.normal(size=(n, steps, d)), "x")
+    # the fused loss weights padded positions too: their states are
+    # constant zeros, so no gradient may flow from them
     weights = gen.normal(size=(n, steps, h))
+    lengths = random_lengths(gen, n, steps)
+    valid = np.arange(steps) < lengths[:, None]
     params = [x] + layer.parameters()
 
     reset(params)
-    fused = lstm_layer(layer, x)
+    fused = lstm_layer(layer, x, lengths)
     backward((fused * weights).sum())
     fused_grads = grads(params)
 
     reset(params)
     looped = looped_layer(layer, x)
-    backward(summed([(h_t * weights[:, t]).sum() for t, h_t in enumerate(looped)]))
+    backward(summed([
+        (h_t * (weights[:, t] * valid[:, t, None])).sum() for t, h_t in enumerate(looped)
+    ]))
 
     assert fused.data.shape == (n, steps, h)
     for t, h_t in enumerate(looped):
-        np.testing.assert_allclose(fused.data[:, t], h_t.data, rtol=0, atol=ATOL)
+        rows = valid[:, t]
+        np.testing.assert_allclose(fused.data[rows, t], h_t.data[rows], rtol=0, atol=ATOL)
+    np.testing.assert_array_equal(fused.data[~valid], 0.0)
     for p, g in zip(params, fused_grads):
         np.testing.assert_allclose(g, p.grad, rtol=0, atol=ATOL, err_msg=p.name)
+    np.testing.assert_array_equal(fused_grads[0][~valid], 0.0)
+
+
+def dense_lstm_layer(params, x):
+    """The recurrence over every position of every row, as `lstm_layer`
+    ran before it skipped padded positions: the oracle whose valid states
+    and gradients the packed op must match byte for byte."""
+    wx, wh, bias = params.input_weights, params.recurrent_weights, params.bias
+    n, steps, d = x.data.shape
+    hd = params.hidden_dim
+    keep = is_recording((x, wx, wh, bias))
+    states = np.empty((n, steps, hd))
+    gates = np.empty((n, steps, 4 * hd)) if keep else None
+    cells = np.empty((n, steps, hd)) if keep else None
+    projected = (x.data.reshape(-1, d) @ wx.data + bias.data).reshape(n, steps, 4 * hd)
+    h = np.zeros((n, hd))
+    c = np.zeros((n, hd))
+    for t in range(steps):
+        pre = projected[:, t] + h @ wh.data
+        act = logistic(pre)
+        act[:, 2 * hd : 3 * hd] = np.tanh(pre[:, 2 * hd : 3 * hd])
+        if keep:
+            _check_finite(pre, "LSTM pre-activation")
+            gates[:, t] = act
+        c = act[:, hd : 2 * hd] * c + act[:, :hd] * act[:, 2 * hd : 3 * hd]
+        h = act[:, 3 * hd :] * np.tanh(c)
+        states[:, t] = h
+        if keep:
+            cells[:, t] = c
+
+    def bwd(g):
+        i, f = gates[..., :hd], gates[..., hd : 2 * hd]
+        cand, o = gates[..., 2 * hd : 3 * hd], gates[..., 3 * hd :]
+        tanh_c = np.tanh(cells)
+        slope = gates * (1.0 - gates)
+        slope[..., 2 * hd : 3 * hd] = 1.0 - cand * cand
+        through_c = o * (1.0 - tanh_c * tanh_c)
+        prev_c = np.zeros((n, steps, hd))
+        prev_c[:, 1:] = cells[:, :-1]
+        d_pre = np.empty((n, steps, 4 * hd))
+        dh_next = np.zeros((n, hd))
+        dc_next = np.zeros((n, hd))
+        for t in range(steps - 1, -1, -1):
+            dh = g[:, t] + dh_next
+            dc = dc_next + dh * through_c[:, t]
+            dp = d_pre[:, t]
+            dp[:, :hd] = dc * cand[:, t]
+            dp[:, hd : 2 * hd] = dc * prev_c[:, t]
+            dp[:, 2 * hd : 3 * hd] = dc * i[:, t]
+            dp[:, 3 * hd :] = dh * tanh_c[:, t]
+            dp *= slope[:, t]
+            dh_next = dp @ wh.data.T
+            dc_next = dc * f[:, t]
+        flat = d_pre.reshape(n * steps, 4 * hd)
+        if x.requires_grad:
+            _accumulate(x, (flat @ wx.data.T).reshape(n, steps, d))
+        _accumulate(wx, x.data.reshape(n * steps, d).T @ flat)
+        prev_h = np.zeros((n, steps, hd))
+        prev_h[:, 1:] = states[:, :-1]
+        _accumulate(wh, prev_h.reshape(n * steps, hd).T @ flat)
+        _accumulate(bias, flat.sum(axis=0))
+    return _node(states, (x, wx, wh, bias), bwd)
+
+
+# the forum shape's layers 1 and 2, the desk shape's layer 1, and small widths
+@pytest.mark.parametrize("n,d,h", [(64, 128, 128), (64, 300, 128), (64, 32, 24), (7, 3, 4)])
+def test_lstm_layer_matches_dense_recurrence_bitwise(n, d, h):
+    steps = 12
+    gen = np.random.default_rng(d + h)
+    layer = init_lstm_layer(d, h, RngStream(h).child("layer"), "layer")
+    lengths = random_lengths(gen, n, steps)
+    valid = np.arange(steps) < lengths[:, None]
+    # as in the model: the padded positions carry inputs but no gradient
+    x = Parameter(gen.normal(size=(n, steps, d)), "x")
+    weights = gen.normal(size=(n, steps, h)) * valid[:, :, None]
+    params = [x] + layer.parameters()
+    outputs = []
+    for op in (dense_lstm_layer, lambda p, v: lstm_layer(p, v, lengths)):
+        reset(params)
+        states = op(layer, x)
+        backward((states * weights).sum())
+        with no_grad():
+            free = op(layer, Tensor(x.data)).data
+        outputs.append((states.data[valid], free[valid], *grads(params)))
+    for name, want, got in zip(["states", "no_grad states", "dx", "dwx", "dwh", "dbias"],
+                               *outputs):
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_lstm_layer_no_grad_same_states():
@@ -132,6 +234,33 @@ def test_lstm_layer_writes_over_its_input(monkeypatch):
     assert x.tobytes() == want.tobytes()
     with pytest.raises(UsageError):
         lstm_layer(layer, Parameter(want, "x"), out=want)
+
+
+def test_lstm_layer_zeroes_padded_states(monkeypatch):
+    # projection blocks of two timesteps, as above; row 2 is empty
+    monkeypatch.setattr(encoder, "PROJECTION_BLOCK_BYTES", 2 * 5 * 4 * 4 * 8)
+    gen = np.random.default_rng(9)
+    layer = init_lstm_layer(4, 4, RngStream(9), "layer")
+    x = gen.normal(size=(5, 7, 4))
+    lengths = np.array([3, 7, 0, 1, 5])
+    padded = np.arange(7) >= lengths[:, None]
+    recorded = lstm_layer(layer, Parameter(x.copy(), "x"), lengths).data
+    with no_grad():
+        free = lstm_layer(layer, Tensor(x.copy()), lengths).data
+        states = lstm_layer(layer, Tensor(x), lengths, out=x)
+    assert states.data is x
+    for out in (recorded, free, x):
+        assert out[padded].tobytes() == np.zeros((padded.sum(), 4)).tobytes()
+        assert out.tobytes() == recorded.tobytes()
+    assert (recorded[~padded] != 0.0).all()
+
+
+def test_lstm_layer_rejects_bad_lengths():
+    layer = init_lstm_layer(3, 2, RngStream(0), "layer")
+    x = Tensor(np.zeros((2, 4, 3)))
+    for lengths in ([4], [4, 5], [-1, 4], [[4, 4]]):
+        with pytest.raises(ShapeError):
+            lstm_layer(layer, x, np.array(lengths))
 
 
 def test_lstm_layer_rejects_wrong_width():

@@ -21,7 +21,7 @@ EXPECTED_OPS = {
     "add", "subtract", "multiply", "divide", "negate", "matmul", "affine",
     "transpose_slice", "sigmoid", "tanh", "exp", "log", "clip", "softmax",
     "concat", "gather_rows", "sum_axis", "mean", "cross_entropy",
-    "lstm_layer", "attention_softmax", "attention_ratio",
+    "lstm_layer", "lstm_layer_mixed", "attention_softmax", "attention_ratio",
 }
 
 
@@ -81,8 +81,8 @@ class TestNegativeControl:
     def test_corrupted_adjoint_is_reported(self, monkeypatch):
         real_layer = encoder.lstm_layer
 
-        def corrupt_layer(params, x):
-            out = real_layer(params, x)
+        def corrupt_layer(params, x, lengths=None):
+            out = real_layer(params, x, lengths)
             if out._parents:
                 real_backward = out._backward
                 # sabotage: halves every adjoint the recurrent layer passes back

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from urgentbayes.encoder import aggregate_logit_samples
 from urgentbayes.errors import (
     DomainError,
     InsufficientDataError,
@@ -63,6 +64,18 @@ class TestEntropy:
             predictive_entropy([[0.5, 0.5], [0.4, 0.4]])
         with pytest.raises(DomainError):
             predictive_entropy([[0.5, 0.5], [-0.1, 1.1]])
+
+    def test_aggregation_scores_as_the_checked_function(self):
+        # aggregate_logit_samples scores its own softmax output unchecked;
+        # the last posts saturate to probabilities of exactly 1 and 0
+        gen = np.random.default_rng(2)
+        block = gen.normal(0.0, 3.0, (10, 40, 2))
+        block[:, -3:] = [[800.0, -800.0], [-800.0, 800.0], [0.0, 0.0]]
+        dists = aggregate_logit_samples(block)
+        probs = np.stack([d.mean_probs for d in dists])
+        assert probs[-3:].tolist() == [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]
+        want = predictive_entropy(probs).tolist()
+        assert [repr(d.entropy) for d in dists] == [repr(h) for h in want]
 
 
 class TestConfusionAndReport:
