@@ -141,11 +141,10 @@ def lstm_step(params, h_prev, c_prev, x):
     return h, c
 
 
-def lstm_layer(params, x, lengths=None, out=None):
+def lstm_layer(params, x, lengths, out=None):
     """Runs one layer from zero state over a padded (n, T, input_dim) batch
-    whose row i has lengths[i] real positions (all T when `lengths` is
-    None) and returns its hidden states, (n, T, hidden), zero at the
-    padded positions.
+    whose row i has lengths[i] real positions and returns its hidden
+    states, (n, T, hidden), zero at the padded positions.
 
     One tape op over a packed batch, as cuDNN and PyTorch pack padded
     sequences: the rows are taken longest first, and step t runs only the
@@ -175,7 +174,7 @@ def lstm_layer(params, x, lengths=None, out=None):
         )
     n, steps, d = x.data.shape
     hd = params.hidden_dim
-    lengths = np.full(n, steps) if lengths is None else np.asarray(lengths)
+    lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.shape != (n,):
         raise ShapeError(f"lstm_layer expects {n} lengths, got shape {lengths.shape}")
     order = np.argsort(-lengths, kind="stable")
@@ -185,12 +184,6 @@ def lstm_layer(params, x, lengths=None, out=None):
     # valid[t]: the number of rows longer than t, which come first in `order`
     valid = np.searchsorted(-ranked, -np.arange(steps)).tolist()
     floor = min(n, MIN_ACTIVE_ROWS)
-    in_order = bool((order[1:] > order[:-1]).all())
-
-    def longest(k):
-        """Indexes the k longest rows; a slice if they are the first k."""
-        return slice(k) if in_order else order[:k]
-
     # input projections for blocks of timesteps of about 2 MB each, so that
     # a large prediction batch never holds an (n, T, 4*hidden) temporary
     block = max(1, PROJECTION_BLOCK_BYTES // (n * 4 * hd * 8))
@@ -206,7 +199,7 @@ def lstm_layer(params, x, lengths=None, out=None):
     for t in range(steps):
         k = max(valid[t], floor)
         if t % block == 0:
-            projected = x.data[longest(k), t : t + block].reshape(-1, d) @ wx.data
+            projected = x.data[order[:k], t : t + block].reshape(-1, d) @ wx.data
             projected += bias.data
             projected = projected.reshape(k, -1, 4 * hd)
         pre = projected[:k, t % block] + h[:k] @ wh.data
@@ -219,7 +212,7 @@ def lstm_layer(params, x, lengths=None, out=None):
             gates[:k, t] = act
         c[:k] = act[:, hd : 2 * hd] * c[:k] + act[:, :hd] * act[:, 2 * hd : 3 * hd]
         h[:k] = act[:, 3 * hd :] * np.tanh(c[:k])
-        states[longest(valid[t]), t] = h[: valid[t]]
+        states[order[: valid[t]], t] = h[: valid[t]]
         if keep:
             cells[:k, t] = c[:k]
     if valid and valid[-1] < n:
@@ -240,7 +233,7 @@ def lstm_layer(params, x, lengths=None, out=None):
             # d(gate)/d(pre-activation), and dc_t/dh_t through h = o * tanh(c)
             slope = act * (1.0 - act)
             slope[:, 2 * hd : 3 * hd] = 1.0 - cand * cand
-            dh = g[longest(k), t] + dh_next[:k]
+            dh = g[order[:k], t] + dh_next[:k]
             dc = dc_next[:k] + dh * (o * (1.0 - tanh_c * tanh_c))
             dp = dp_rows[:k]
             dp[:, :hd] = dc * cand
@@ -248,7 +241,7 @@ def lstm_layer(params, x, lengths=None, out=None):
             dp[:, 2 * hd : 3 * hd] = dc * i
             dp[:, 3 * hd :] = dh * tanh_c
             dp *= slope
-            d_pre[longest(k), t] = dp
+            d_pre[order[:k], t] = dp
             dh_next = dp_rows @ wh_t
             dc_next[:k] = dc * f
         flat = d_pre.reshape(n * steps, 4 * hd)

@@ -107,7 +107,7 @@ def op_checks(seed: int) -> list[NamedCheck]:
         ),
         (
             "lstm_layer",
-            lambda: (lstm_layer(layer, seq) * seq_weights).sum(),
+            lambda: (lstm_layer(layer, seq, np.full(3, 4)) * seq_weights).sum(),
             [seq] + layer.parameters(),
         ),
         (

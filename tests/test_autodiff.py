@@ -80,7 +80,7 @@ TAPE_OPS = {
     "cross_entropy_from_logits": lambda: cross_entropy_from_logits(
         _param(3, 2), np.array([0, 1, 1])
     ),
-    "lstm_layer": lambda: lstm_layer(_LAYER, _param(2, 3, 4)),
+    "lstm_layer": lambda: lstm_layer(_LAYER, _param(2, 3, 4), [3, 3]),
     "attend_softmax": lambda: attend(_param(3, 4, 2), _param(3, 2), [4, 2, 1], "softmax"),
     "attend_ratio": lambda: attend(_param(3, 4, 2), _param(3, 2), [4, 2, 1], "ratio"),
 }

@@ -213,9 +213,10 @@ def test_lstm_layer_no_grad_same_states():
     gen = np.random.default_rng(7)
     layer = init_lstm_layer(3, 4, RngStream(7), "layer")
     x = Parameter(gen.normal(size=(2, 5, 3)), "x")
-    recorded = lstm_layer(layer, x)
+    lengths = np.array([5, 3])
+    recorded = lstm_layer(layer, x, lengths)
     with no_grad():
-        free = lstm_layer(layer, x)
+        free = lstm_layer(layer, x, lengths)
     assert not free.requires_grad and free._parents == ()
     assert free.data.tobytes() == recorded.data.tobytes()
 
@@ -227,13 +228,14 @@ def test_lstm_layer_writes_over_its_input(monkeypatch):
     gen = np.random.default_rng(8)
     layer = init_lstm_layer(4, 4, RngStream(8), "layer")
     x = gen.normal(size=(3, 7, 4))
+    lengths = np.full(3, 7)
     with no_grad():
-        want = lstm_layer(layer, Tensor(x)).data
-        states = lstm_layer(layer, Tensor(x), out=x)
+        want = lstm_layer(layer, Tensor(x), lengths).data
+        states = lstm_layer(layer, Tensor(x), lengths, out=x)
     assert states.data is x
     assert x.tobytes() == want.tobytes()
     with pytest.raises(UsageError):
-        lstm_layer(layer, Parameter(want, "x"), out=want)
+        lstm_layer(layer, Parameter(want, "x"), lengths, out=want)
 
 
 def test_lstm_layer_zeroes_padded_states(monkeypatch):
@@ -247,9 +249,11 @@ def test_lstm_layer_zeroes_padded_states(monkeypatch):
     recorded = lstm_layer(layer, Parameter(x.copy(), "x"), lengths).data
     with no_grad():
         free = lstm_layer(layer, Tensor(x.copy()), lengths).data
+        # unsigned lengths order and count the rows as signed ones do
+        unsigned = lstm_layer(layer, Tensor(x.copy()), lengths.astype(np.uint32)).data
         states = lstm_layer(layer, Tensor(x), lengths, out=x)
     assert states.data is x
-    for out in (recorded, free, x):
+    for out in (recorded, free, unsigned, x):
         assert out[padded].tobytes() == np.zeros((padded.sum(), 4)).tobytes()
         assert out.tobytes() == recorded.tobytes()
     assert (recorded[~padded] != 0.0).all()
@@ -266,9 +270,9 @@ def test_lstm_layer_rejects_bad_lengths():
 def test_lstm_layer_rejects_wrong_width():
     layer = init_lstm_layer(3, 2, RngStream(0), "layer")
     with pytest.raises(ShapeError):
-        lstm_layer(layer, Tensor(np.zeros((2, 4, 5))))
+        lstm_layer(layer, Tensor(np.zeros((2, 4, 5))), [4, 4])
     with pytest.raises(ShapeError):
-        lstm_layer(layer, Tensor(np.zeros((2, 3))))
+        lstm_layer(layer, Tensor(np.zeros((2, 3))), [3, 3])
 
 
 def test_lstm_layer_rejects_overflowing_pre_activation():
@@ -277,7 +281,7 @@ def test_lstm_layer_rejects_overflowing_pre_activation():
     layer = init_lstm_layer(2, 2, RngStream(0), "layer")
     layer.input_weights.data[...] = 1e200
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-        lstm_layer(layer, Tensor(np.full((1, 3, 2), 1e200)))
+        lstm_layer(layer, Tensor(np.full((1, 3, 2), 1e200)), [3])
 
 
 # -- attention ------------------------------------------------------------------

@@ -81,7 +81,7 @@ class TestNegativeControl:
     def test_corrupted_adjoint_is_reported(self, monkeypatch):
         real_layer = encoder.lstm_layer
 
-        def corrupt_layer(params, x, lengths=None):
+        def corrupt_layer(params, x, lengths):
             out = real_layer(params, x, lengths)
             if out._parents:
                 real_backward = out._backward
