@@ -169,18 +169,36 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named trainable tensor; its gradient buffer always exists."""
+    """A named trainable tensor; its gradient buffer always exists.
 
-    __slots__ = ("name",)
+    `grad_rows` records the rows (indices along the first axis) of `grad`
+    that can be nonzero, as a sorted array without repeats; None means any
+    row can.  `zero_grad` zeroes only the recorded rows and leaves the
+    record empty, `gather_rows`' backward adds the rows it scatters into,
+    and `_accumulate` drops the record, since it writes every row.  So the
+    cost of zeroing, measuring and clipping an embedding's gradient follows
+    the rows a batch gathers, not the size of the table.  A new parameter
+    has no record, so its `grad` may be filled in place before the first
+    `zero_grad`.  The one unsupported write is filling `grad` in place after
+    `zero_grad` without going through `_accumulate`: rows it writes outside
+    the record would be skipped by the gradient norm and the optimizer, and
+    would not be zeroed by the next `zero_grad`."""
+
+    __slots__ = ("name", "grad_rows")
 
     def __init__(self, data, name):
         super().__init__(data, requires_grad=True)
         self.data = np.ascontiguousarray(self.data)
         self.name = name
         self.grad = np.zeros(self.data.shape)  # lazily mapped until first written
+        self.grad_rows = None
 
     def zero_grad(self):
-        self.grad[...] = 0.0
+        if self.grad_rows is None:
+            self.grad[...] = 0.0
+        else:
+            self.grad[self.grad_rows] = 0.0
+        self.grad_rows = np.empty(0, dtype=np.intp)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -231,6 +249,8 @@ def _accumulate(t, g):
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += _unbroadcast(np.asarray(g, dtype=np.float64), t.data.shape)
+    if isinstance(t, Parameter):
+        t.grad_rows = None  # a dense write: any row can be nonzero
 
 
 def backward(loss):
@@ -431,7 +451,8 @@ def gather_rows(table, ids):
     """Select rows of a (V, d) table by an id array of any shape; the output
     has shape ids.shape + (d,).  Adjoints scatter-add straight into the
     table's gradient buffer, touching only the selected rows, so a row used
-    twice receives twice the gradient."""
+    twice receives twice the gradient; a `Parameter` table adds those rows
+    to its `grad_rows` record."""
     ids = np.asarray(ids, dtype=np.intp)
     if table.data.ndim != 2:
         raise ShapeError("gather_rows expects a 2-d table")
@@ -441,6 +462,12 @@ def gather_rows(table, ids):
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
         np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        if isinstance(table, Parameter) and table.grad_rows is not None:
+            # sorted, without repeats; np.union1d would do, but its first
+            # call adds 1.5 MB to the peak resident set (NumPy 2.4)
+            rows = np.concatenate((table.grad_rows, ids.reshape(-1)))
+            rows.sort()
+            table.grad_rows = rows[np.diff(rows, prepend=-1) != 0]
     return _node(table.data[ids], (table,), bwd)
 
 

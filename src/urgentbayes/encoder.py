@@ -151,18 +151,21 @@ def lstm_layer(params, x, lengths, out=None):
     rows longer than t, in the input projection (one matmul per block of
     timesteps), the recurrence and backpropagation through time.  The
     recurrence follows `lstm_step`'s gate order and arithmetic.  Gate
-    activations and cell states are kept only when a gradient can flow;
-    the backward is hand-written, and its weight-gradient products run
-    over every position in the batch's own row order.
+    activations and cell states are kept only when a gradient can flow.
+    The backward is hand-written and stays packed: it fills one contiguous
+    block of pre-activation adjoints per step, from the last step to the
+    first, and forms the input gradient and the three weight gradients
+    from those valid positions only, with the inputs and the previous
+    states gathered at the same positions.
 
-    The valid states and every gradient are bitwise what the recurrence
-    over every position gives wherever BLAS rounds a row of a product
-    alike whatever other rows the product holds.  OpenBLAS does not in two
-    cases, which the op avoids: a one-row product (a matrix-vector kernel;
-    a step keeps at least MIN_ACTIVE_ROWS rows), and the backward's product
-    with the transposed recurrent weights below a row count that depends
-    on the width (a small-matrix kernel; that product keeps all n rows,
-    the finished ones zero).
+    The valid states are bitwise what the recurrence over every position
+    gives wherever BLAS rounds a row of a product alike whatever other rows
+    the product holds.  OpenBLAS does not for a one-row product (a
+    matrix-vector kernel), so a step keeps at least MIN_ACTIVE_ROWS rows,
+    and the states, and with them every prediction, stay byte-identical to
+    the dense recurrence.  The gradients sum the valid positions in
+    another order than a dense pass does, so they differ from it in the
+    last bits (relative 3e-15 at the benchmark's shapes).
 
     Without a gradient the states may be written into `out`, an (n, T,
     hidden) array that may be x's own: each block of inputs is projected
@@ -219,11 +222,17 @@ def lstm_layer(params, x, lengths, out=None):
         states[np.arange(steps) >= lengths[:, None]] = 0.0
 
     def bwd(g):
-        d_pre = np.zeros((n, steps, 4 * hd))    # stays 0 at padded positions
-        dp_rows = np.zeros((n, 4 * hd))         # rows past valid[t] stay 0
+        # the valid positions in the order BPTT visits them: one block per
+        # step, from the last step to the first, each in `order`'s row order
+        # (flat indices into the (n * T) positions)
+        back = np.arange(steps - 1, -1, -1)[:, None]
+        positions = (order * steps + back)[ranked > back]
+        g_rows = g.reshape(n * steps, hd)[positions]
+        d_pre = np.empty((len(positions), 4 * hd))   # packed like `positions`
         wh_t = wh.data.T
-        dh_next = np.zeros((n, hd))
+        dh_next = np.zeros((n, hd))   # a row is first written at its last step
         dc_next = np.zeros((n, hd))
+        start = 0
         for t in range(steps - 1, -1, -1):
             k = valid[t]
             act, c_t = gates[:k, t], cells[:k, t]
@@ -233,25 +242,27 @@ def lstm_layer(params, x, lengths, out=None):
             # d(gate)/d(pre-activation), and dc_t/dh_t through h = o * tanh(c)
             slope = act * (1.0 - act)
             slope[:, 2 * hd : 3 * hd] = 1.0 - cand * cand
-            dh = g[order[:k], t] + dh_next[:k]
+            dh = g_rows[start : start + k] + dh_next[:k]
             dc = dc_next[:k] + dh * (o * (1.0 - tanh_c * tanh_c))
-            dp = dp_rows[:k]
+            dp = d_pre[start : start + k]
             dp[:, :hd] = dc * cand
             dp[:, hd : 2 * hd] = dc * (cells[:k, t - 1] if t else 0.0)
             dp[:, 2 * hd : 3 * hd] = dc * i
             dp[:, 3 * hd :] = dh * tanh_c
             dp *= slope
-            d_pre[order[:k], t] = dp
-            dh_next = dp_rows @ wh_t
+            dh_next[:k] = dp @ wh_t
             dc_next[:k] = dc * f
-        flat = d_pre.reshape(n * steps, 4 * hd)
+            start += k
         if x.requires_grad:
-            _accumulate(x, (flat @ wx.data.T).reshape(n, steps, d))
-        _accumulate(wx, x.data.reshape(n * steps, d).T @ flat)
-        prev_h = np.zeros((n, steps, hd))
-        prev_h[:, 1:] = states[:, :-1]
-        _accumulate(wh, prev_h.reshape(n * steps, hd).T @ flat)
-        _accumulate(bias, flat.sum(axis=0))
+            dx = np.zeros((n * steps, d))
+            dx[positions] = d_pre @ wx.data.T
+            _accumulate(x, dx.reshape(n, steps, d))
+        _accumulate(wx, x.data.reshape(n * steps, d)[positions].T @ d_pre)
+        # the state before each position; step 0's block, last, has none
+        inner = len(positions) - (valid[0] if steps else 0)
+        prev_h = states.reshape(n * steps, hd)[positions[:inner] - 1]
+        _accumulate(wh, prev_h.T @ d_pre[:inner])
+        _accumulate(bias, d_pre.sum(axis=0))
     return _node(states, (x, wx, wh, bias), bwd)
 
 

@@ -81,16 +81,24 @@ class AdaptiveMomentState:
         ]
 
 
-def _live_rows(state: AdaptiveMomentState, i: int, grad: np.ndarray) -> np.ndarray | None:
-    """Rows of parameter i the step must update, or None for all of them.
+def _live_rows(state: AdaptiveMomentState, i: int, p: Parameter) -> np.ndarray | None:
+    """Rows of parameter i, `p`, the step must update, or None for all of them.
 
     A row whose moments and gradient are all zero is left bitwise unchanged
     by the update (the moments stay 0 and the weight loses +0.0), so the
-    rows that never had a nonzero gradient can be skipped exactly."""
+    rows that never had a nonzero gradient can be skipped exactly.  New
+    nonzero rows are looked for only among the rows `p.grad_rows` records
+    (every row when it records none), so a batch's cost follows the rows it
+    gathered; a recorded row whose gradient is zero, such as the padding
+    id's, does not become live."""
     live = state.live[i]
     if live is None:
         return None
-    live |= grad.any(axis=1)
+    rows = p.grad_rows
+    if rows is None:
+        live |= p.grad.any(axis=1)
+    else:
+        live[rows[p.grad[rows].any(axis=1)]] = True
     if np.count_nonzero(live) > SPARSE_MAX_LIVE_SHARE * live.size:
         state.live[i] = None  # live rows never die, so the update stays dense
         return None
@@ -132,7 +140,7 @@ def adaptive_moment_step(
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
     for i, (p, m, v) in enumerate(zip(params, state.first, state.second)):
-        rows = _live_rows(state, i, p.grad)
+        rows = _live_rows(state, i, p)
         if rows is None:
             _moment_update(p.data, m, v, p.grad, learning_rate, c1, c2)
         else:
@@ -141,25 +149,45 @@ def adaptive_moment_step(
             p.data[rows], m[rows], v[rows] = p_rows, m_rows, v_rows
 
 
+def _row_square_sums(p: Parameter) -> list[float]:
+    """The sum of squares of each row of p's gradient that `p.grad_rows`
+    records (every row when it records none); a 1-D gradient is one row.
+    A row's sum does not depend on which other rows are summed."""
+    g = p.grad.reshape(1, -1) if p.grad.ndim < 2 else p.grad.reshape(len(p.grad), -1)
+    if p.grad_rows is not None:
+        g = g[p.grad_rows]
+    return (g * g).sum(axis=1).tolist()
+
+
 def clip_gradient_norm(params: list[Parameter], max_norm: float | None) -> float:
     """Scale all gradients so their joint L2 norm is at most max_norm;
     with max_norm None, measure the norm and scale nothing.
+
+    The squared norm is the correctly rounded sum (`math.fsum`) of every
+    parameter's per-row sums of squares.  A zero row adds an exact zero and
+    the sum does not depend on its order, so the norm depends only on the
+    gradient values: measuring only the rows each `grad_rows` records, and
+    scaling only those, gives the bits of the whole arrays.
 
     Returns the pre-clip norm. Raises NonFiniteError, naming the
     parameter, when a gradient holds NaN or Inf (scaling by a non-finite
     norm would turn it into NaN).
     """
-    total = 0.0
-    for p in params:
-        total += float(np.sum(p.grad * p.grad))
-    norm = math.sqrt(total)
+    sums = [s for p in params for s in _row_square_sums(p)]
+    try:
+        norm = math.sqrt(math.fsum(sums))
+    except OverflowError:  # finite row sums whose total overflows
+        norm = math.inf
     if not math.isfinite(norm):
         for p in params:
             _check_finite(p.grad, f"the gradient of {p.name}")
     if max_norm is not None and norm > max_norm:
         scale = max_norm / norm
         for p in params:
-            p.grad *= scale
+            if p.grad_rows is None:
+                p.grad *= scale
+            else:
+                p.grad[p.grad_rows] *= scale
     return norm
 
 

@@ -174,6 +174,26 @@ class TestBackwardContracts:
         backward(rows.sum())
         np.testing.assert_allclose(table.grad, [[0, 0], [2, 2], [1, 1]])
 
+    def test_gradient_row_record(self):
+        # no record until zero_grad; gathers add their rows; a dense write drops it
+        table = Parameter(np.arange(10.0).reshape(5, 2), "emb")
+        assert table.grad_rows is None
+        table.grad[...] = 1.0
+        table.zero_grad()
+        assert not table.grad.any() and table.grad_rows.tolist() == []
+        backward(gather_rows(table, np.array([[3, 1], [3, 3]])).sum())
+        backward(gather_rows(table, np.array([4, 1])).sum())
+        assert table.grad_rows.tolist() == [1, 3, 4]
+        assert not table.grad[[0, 2]].any()
+        table.zero_grad()
+        assert not table.grad.any() and table.grad_rows.tolist() == []
+        backward((table * 2.0).sum())
+        assert table.grad_rows is None
+        backward(gather_rows(table, np.array([0])).sum())
+        assert table.grad_rows is None
+        table.zero_grad()
+        assert not table.grad.any() and table.grad_rows.tolist() == []
+
     def test_non_scalar_loss_rejected(self):
         a = Parameter(np.ones(3), "a")
         with pytest.raises(UsageError):

@@ -10,7 +10,7 @@ from urgentbayes import encoder as encoder_module
 from urgentbayes import mcd as mcd_module
 from urgentbayes import training
 from urgentbayes import vi as vi_module
-from urgentbayes.autodiff import Parameter, RngStream, backward
+from urgentbayes.autodiff import Parameter, RngStream, _accumulate, backward
 from urgentbayes.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -184,6 +184,57 @@ class TestClip:
         assert norm > 5.0
         for p, g in zip(params, before):
             assert p.grad.tobytes() == g.tobytes()
+
+    def test_norm_is_the_exact_sum_of_row_sums(self):
+        # 9 + 16 + 0 + 144 + 7056 = 85**2; the 1-D gradient is one row
+        a = Parameter(np.zeros((3, 2)), "a")
+        b = Parameter(np.zeros(1), "b")
+        a.grad[...] = [[3.0, 4.0], [0.0, 0.0], [0.0, 12.0]]
+        b.grad[...] = 84.0
+        assert clip_gradient_norm([a, b], None) == 85.0
+        # row sums 1e16, 1 and 1: a running sum rounds 1e16 + 1 away
+        c = Parameter(np.zeros((3, 1)), "c")
+        c.grad[:, 0] = [1e8, 1.0, 1.0]
+        assert clip_gradient_norm([c], None) == math.sqrt(1e16 + 2.0)
+
+    def test_finite_rows_whose_squares_overflow_give_an_infinite_norm(self):
+        a = Parameter(np.zeros((2, 1)), "a")
+        a.grad[:, 0] = 1e154  # each row's square is finite, their sum is not
+        assert clip_gradient_norm([a], None) == math.inf
+        clip_gradient_norm([a], 5.0)
+        assert a.grad.tolist() == [[0.0], [0.0]]
+
+    def test_norm_of_the_recorded_rows_is_the_norm_of_the_whole(self):
+        gen = np.random.default_rng(6)
+        rows = np.sort(gen.choice(40, 9, replace=False))
+        values = gen.normal(size=(9, 7)) * 10.0 ** gen.uniform(-6, 6, size=(9, 1))
+        whole, recorded = Parameter(np.zeros((40, 7)), "t"), Parameter(np.zeros((40, 7)), "t")
+        bias = Parameter(np.zeros(3), "b")
+        for p in (whole, recorded, bias):
+            p.zero_grad()
+        whole.grad_rows = None
+        whole.grad[rows] = recorded.grad[rows] = values
+        recorded.grad_rows = rows
+        bias.grad[...] = [1e3, -2.0, 0.5]
+        bias.grad_rows = None
+        norm = clip_gradient_norm([whole, bias], None)
+        assert clip_gradient_norm([recorded, bias], None) == norm
+        assert norm > 1.0
+        bias_grad = bias.grad.copy()
+        clip_gradient_norm([whole, bias], 1.0)
+        bias.grad[...] = bias_grad
+        clip_gradient_norm([recorded, bias], 1.0)
+        assert recorded.grad.tobytes() == whole.grad.tobytes()
+
+    def test_norm_ignores_row_order(self):
+        gen = np.random.default_rng(7)
+        g = gen.normal(size=(30, 5)) * 10.0 ** gen.uniform(-8, 8, size=(30, 1))
+        norms = []
+        for order in (np.arange(30), gen.permutation(30), np.arange(30)[::-1]):
+            p = Parameter(np.zeros((30, 5)), "p")
+            p.grad[...] = g[order]
+            norms.append(clip_gradient_norm([p], None))
+        assert norms[0] == norms[1] == norms[2]
 
     def test_none_names_a_non_finite_gradient(self):
         a = Parameter(np.zeros(2), "a")
@@ -478,6 +529,85 @@ class TestRowSparseAdam:
         (state,) = states
         assert state.live[0] is not None  # the update stayed row-sparse
         assert not state.first[0][unused].any() and not state.second[0][unused].any()
+
+
+class TestGradientRowRecord:
+    """`Parameter.grad_rows` names every row of the embedding gradient that
+    can be nonzero, so zeroing, the norm, clipping and Adam's live rows look
+    at those rows only, with the bits of a dense pass over the table."""
+
+    @pytest.mark.parametrize("kind", ["base", "mcd", "vi"])
+    def test_training_matches_a_copy_without_the_record(self, kind):
+        model, dense = tiny_model(kind, seed=8, vocab=60), tiny_model(kind, seed=8, vocab=60)
+        states = [AdaptiveMomentState(m.parameters()) for m in (model, dense)]
+        norms = []
+        for t, (ids, lengths, labels) in enumerate(SPARSE_BATCHES, start=1):
+            step = []
+            for m, state in zip((model, dense), states):
+                params = m.parameters()
+                loss, _ = m.batch_loss_parts(
+                    np.array(ids), np.array(lengths), np.array(labels), RngStream(t)
+                )
+                for p in params:
+                    p.zero_grad()
+                backward(loss)
+                if m is dense:
+                    for p in params:
+                        p.grad_rows = None  # every later pass covers every row
+                step.append((m.embedding.grad.copy(), clip_gradient_norm(params, 0.05)))
+                adaptive_moment_step(params, state, 5e-2)
+            (grad, norm), (dense_grad, dense_norm) = step
+            recorded = model.embedding.grad_rows
+            assert not np.delete(grad, recorded, axis=0).any(), t
+            assert 0 in recorded  # the pad id is gathered at padded positions
+            assert grad.tobytes() == dense_grad.tobytes(), t
+            assert norm == dense_norm, t
+            norms.append(norm)
+        assert max(norms) > 0.05  # clipping fired
+        for p, q in zip(model.parameters(), dense.parameters()):
+            assert p.data.tobytes() == q.data.tobytes(), p.name
+        for a, b in zip(states[0].first + states[0].second, states[1].first + states[1].second):
+            assert a.tobytes() == b.tobytes()
+        assert not states[0].live[0][0]  # the pad row is never live
+
+    def test_dense_accumulate_drops_the_record(self):
+        model = tiny_model(seed=8, vocab=60)
+        params = model.parameters()
+        ids, lengths, labels = (np.array(a) for a in SPARSE_BATCHES[0])
+        for p in params:
+            p.zero_grad()
+        backward(model.batch_loss_parts(ids, lengths, labels)[0])
+        emb = model.embedding
+        assert 50 not in emb.grad_rows
+        extra = np.zeros_like(emb.data)
+        extra[50] = 0.5
+        _accumulate(emb, extra)
+        assert emb.grad_rows is None
+        # the norm of fresh copies, which have no record, counts every row
+        copies = [Parameter(p.data, p.name) for p in params]
+        for c, p in zip(copies, params):
+            c.grad[...] = p.grad
+        norm = clip_gradient_norm(params, 1e-3)
+        assert norm == clip_gradient_norm(copies, None)
+        assert emb.grad[50].tolist() == (extra[50] * (1e-3 / norm)).tolist()
+        state = AdaptiveMomentState(params)
+        before = emb.data[50].copy()
+        adaptive_moment_step(params, state, 1e-2)
+        assert state.live[0][50] and (emb.data[50] != before).all()
+
+    @pytest.mark.parametrize("clip", [5.0, None])
+    def test_nan_in_a_recorded_row_is_divergence(self, monkeypatch, clip):
+        model = tiny_model(seed=2)
+
+        def poisoned_backward(loss):
+            backward(loss)
+            rows = model.embedding.grad_rows
+            model.embedding.grad[rows[len(rows) // 2], 1] = np.nan
+
+        monkeypatch.setattr(training, "backward", poisoned_backward)
+        cfg = TrainConfig(epochs=1, batch_size=12, gradient_clip_norm=clip)
+        with pytest.raises(DivergenceError, match=r"epoch 0, step 0: .*embedding"):
+            train(model, toy_split(), cfg)
 
 
 class _StubModel:
