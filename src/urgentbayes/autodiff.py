@@ -174,15 +174,18 @@ class Parameter(Tensor):
     `grad_rows` records the rows (indices along the first axis) of `grad`
     that can be nonzero, as a sorted array without repeats; None means any
     row can.  `zero_grad` zeroes only the recorded rows and leaves the
-    record empty, `gather_rows`' backward adds the rows it scatters into,
-    and `_accumulate` drops the record, since it writes every row.  So the
-    cost of zeroing, measuring and clipping an embedding's gradient follows
-    the rows a batch gathers, not the size of the table.  A new parameter
-    has no record, so its `grad` may be filled in place before the first
-    `zero_grad`.  The one unsupported write is filling `grad` in place after
-    `zero_grad` without going through `_accumulate`: rows it writes outside
-    the record would be skipped by the gradient norm and the optimizer, and
-    would not be zeroed by the next `zero_grad`."""
+    record empty, the backwards of `gather_rows` and of `encoder.lstm_layer`
+    over a `Lookup` add the rows they write (`_record_rows`), and
+    `_accumulate` drops the record, since it writes every row.  So the cost
+    of zeroing, measuring and clipping an embedding's gradient follows the
+    ids a batch reads, not the size of the table; the encoder reads ids at
+    valid positions only, so the padding id is recorded only when a post
+    contains it.  A new parameter has no record, so its `grad` may be
+    filled in place before the first `zero_grad`.  The one unsupported
+    write is filling `grad` in place after `zero_grad` without going
+    through `_accumulate`: rows it writes outside the record would be
+    skipped by the gradient norm and the optimizer, and would not be zeroed
+    by the next `zero_grad`."""
 
     __slots__ = ("name", "grad_rows")
 
@@ -462,13 +465,20 @@ def gather_rows(table, ids):
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
         np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-        if isinstance(table, Parameter) and table.grad_rows is not None:
-            # sorted, without repeats; np.union1d would do, but its first
-            # call adds 1.5 MB to the peak resident set (NumPy 2.4)
-            rows = np.concatenate((table.grad_rows, ids.reshape(-1)))
-            rows.sort()
-            table.grad_rows = rows[np.diff(rows, prepend=-1) != 0]
+        _record_rows(table, ids.reshape(-1))
     return _node(table.data[ids], (table,), bwd)
+
+
+def _record_rows(table, rows):
+    """Adds `rows`, indices along the first axis, to a `Parameter`'s
+    `grad_rows` record, kept sorted and without repeats; a table without a
+    record (any row can be nonzero) keeps none."""
+    if isinstance(table, Parameter) and table.grad_rows is not None:
+        # np.union1d would do, but its first call adds 1.5 MB to the peak
+        # resident set (NumPy 2.4)
+        merged = np.concatenate((table.grad_rows, rows))
+        merged.sort()
+        table.grad_rows = merged[np.diff(merged, prepend=-1) != 0]
 
 
 def cross_entropy_from_logits(logits, labels):

@@ -3,18 +3,21 @@ dot-product attention over the top layer's states, and an affine
 prediction head on (context ⊕ final state).
 
 There is one forward implementation.  Each recurrent layer is a single
-tape op over the padded `(n, T, d)` batch that runs each row over its real
-positions only, as a packed sequence (`lstm_layer`, with a hand-written
-backpropagation-through-time backward; the states at padded positions are
-zeros), and attention is a single length-masked op over the `(n, T,
-hidden)` states (`attend`).  Training records them on the autodiff tape;
-prediction runs the same ops under `no_grad`, so the zero-dropout
-Bayesian variant agrees with the deterministic model bit for bit by
-construction.  Prediction can stack several dropout samples of one batch:
-layer 1 then runs once, and layer 2, attention and the head run over
-blocks of samples (`infer_states`).  Only the head
-(`_build_head`, `_head`) differs by kind; vi's is its reconstruction
-head with the latent code at the prior mean.  Every kind's `predict_batch`
+tape op over a padded batch of n rows and T positions that runs each row
+over its real positions only, as a packed sequence (`lstm_layer`, with a
+hand-written backpropagation-through-time backward; the states at padded
+positions are zeros), and attention is a single length-masked op over the
+`(n, T, hidden)` states (`attend`).  Layer 1 reads the embedding by token
+id (a `Lookup`): it projects each distinct id at a valid position once, no
+`(n, T, embed_dim)` array of gathered rows is built, and its backward adds
+to the embedding's gradient only the rows of the ids it read.  Training
+records these ops on the autodiff tape; prediction runs the same ops
+under `no_grad`, so the zero-dropout Bayesian variant agrees with the
+deterministic model bit for bit by construction.  Prediction can stack
+several dropout samples of one batch: layer 1 then runs once, and layer
+2, attention and the head run over blocks of samples (`infer_states`).
+Only the head (`_build_head`, `_head`) differs by kind; vi's is its
+reconstruction head with the latent code at the prior mean.  Every kind's `predict_batch`
 builds an (M, n, 2) block of sample logits (M = 1 here) and makes one
 `aggregate_logit_samples` call, which returns the n posts' distributions.
 
@@ -37,10 +40,11 @@ from .autodiff import (
     _accumulate,
     _check_finite,
     _node,
+    _record_rows,
     affine,
     concat,
     cross_entropy_from_logits,
-    gather_rows,
+    gather_rows,  # unused here; perfbench's tracer wraps encoder.gather_rows by name
     is_recording,
     logistic,
     matmul,
@@ -50,7 +54,7 @@ from .autodiff import (
     tanh_op,
     transpose,
 )
-from .errors import ConfigurationError, DataError, ShapeError, UsageError
+from .errors import ConfigurationError, DataError, DomainError, ShapeError, UsageError
 from .metrics import NUM_CLASSES, _entropy
 
 log = logging.getLogger(__name__)
@@ -62,6 +66,8 @@ MODEL_KINDS = ("base", "mcd", "vi")
 PROJECTION_BLOCK_BYTES = 2 << 20
 # fewest rows a step of lstm_layer multiplies (see lstm_layer)
 MIN_ACTIVE_ROWS = 2
+# runs at least this long are summed one at a time (see _segment_sums)
+LONG_RUN = 8
 
 # dropout placement indices shared with the Monte Carlo variant
 AFTER_LAYER_1 = 0
@@ -141,41 +147,161 @@ def lstm_step(params, h_prev, c_prev, x):
     return h, c
 
 
+class Lookup(NamedTuple):
+    """Token ids, an (n, T) int array, naming rows of a (V, d) embedding
+    `table`: the input `lstm_layer` reads in place of the (n, T, d) rows
+    they would gather."""
+
+    table: Tensor
+    ids: np.ndarray
+
+
+def _blocked_input(x, wx, bias, order, active, block, positions):
+    """The input side of `lstm_layer` for an (n, T, d) tensor.  Returns an
+    iterator over the steps that yields step t's input projections,
+    x[order[:k], t] @ wx + bias for its k = active[t] rows, computed for
+    `block` timesteps at a time, and the backward that takes the packed
+    pre-activation adjoints of the valid `positions` and accumulates the
+    gradients of x and wx."""
+    n, steps, d = x.data.shape
+
+    def projections():
+        for t in range(steps):
+            if t % block == 0:
+                k = active[t]
+                projected = x.data[order[:k], t : t + block].reshape(-1, d) @ wx.data
+                projected += bias.data
+                projected = projected.reshape(k, -1, wx.data.shape[1])
+            yield projected[: active[t], t % block]
+
+    def bwd(d_pre):
+        if x.requires_grad:
+            dx = np.zeros((n * steps, d))
+            dx[positions] = d_pre @ wx.data.T
+            _accumulate(x, dx.reshape(n, steps, d))
+        _accumulate(wx, x.data.reshape(n * steps, d)[positions].T @ d_pre)
+
+    return projections(), bwd
+
+
+def _segment_sums(rows, sort, starts):
+    """Row i of the result sums rows[sort[starts[i] : starts[i + 1]]], the
+    i-th run of `sort` (the last run ends at len(sort)).  np.add.reduceat
+    over rows[sort] loops over every (run, column) pair: 15 ms for a forum
+    batch's 2,500 x 512 adjoints in 1,150 runs (2 vCPUs, NumPy 2.4).  Here
+    the runs shorter than LONG_RUN, most of them, add one row per round,
+    each round over all of them, and the few longer ones, the most frequent
+    words, are summed one at a time: 1.3 ms."""
+    counts = np.diff(starts, append=len(sort))
+    sums = rows[sort[starts]]
+    short = counts < LONG_RUN
+    for j in range(1, counts[short].max(initial=0)):
+        more = np.flatnonzero(short & (counts > j))
+        sums[more] += rows[sort[starts[more] + j]]
+    for i in np.flatnonzero(~short).tolist():
+        sums[i] = rows[sort[starts[i] : starts[i] + counts[i]]].sum(axis=0)
+    return sums
+
+
+def _lookup_input(table, ids, wx, bias, active, block, live, positions):
+    """The input side of `lstm_layer` for a `Lookup`, as `_blocked_input`
+    for the tensor of rows it names.  Lookup and projection are linear, so
+    each distinct id u at a valid position is projected once, P = table[u]
+    @ wx + bias, and each block of steps gathers its rows of P, as Devlin
+    et al. (ACL 2014) precompute the first hidden layer of their network.
+    The backward sums the pre-activation adjoints of each id's positions
+    first, over the runs of the forward's stable sort of the ids
+    (`_segment_sums`), so the table's gradient rows, D @ wx.T, and wx's
+    gradient, table[u].T @ D, come from one row D per distinct id, and only
+    those ids enter the table's `grad_rows` record."""
+    n, steps = ids.shape
+    tokens = ids.reshape(-1)[positions]
+    sort = tokens.argsort(kind="stable")
+    ranked = tokens[sort]
+    new = np.empty(len(ranked), dtype=bool)   # the first of each run of ids
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    starts = new.nonzero()[0]
+    distinct = ranked[starts]
+    # each position's row of P; a padded one reads row 0, whose projection
+    # reaches no state that is kept
+    inverse = np.empty_like(sort)
+    inverse[sort] = new.cumsum() - 1
+    slots = np.zeros(live.shape, dtype=np.intp)
+    slots[live] = inverse
+    slots = slots[::-1]   # `live` runs from the last step to the first
+    picks = distinct
+    if len(picks) < min(MIN_ACTIVE_ROWS, n * steps):
+        # the dense projection multiplies two or more rows unless the batch
+        # has one position, and a one-row product rounds differently
+        picks = np.resize(picks, MIN_ACTIVE_ROWS)
+    projected = table.data[picks] @ wx.data
+    projected += bias.data
+
+    def projections():
+        for t in range(steps):
+            if t % block == 0:
+                rows = projected.take(slots[t : t + block, : active[t]], axis=0)
+            yield rows[t % block, : active[t]]
+
+    def bwd(d_pre):
+        segments = _segment_sums(d_pre, sort, starts)   # one row per id
+        if table.requires_grad:
+            if table.grad is None:
+                table.grad = np.zeros_like(table.data)
+            table.grad[distinct] += segments @ wx.data.T
+            _record_rows(table, distinct)
+        _accumulate(wx, table.data[distinct].T @ segments)
+
+    return projections(), bwd
+
+
 def lstm_layer(params, x, lengths, out=None):
-    """Runs one layer from zero state over a padded (n, T, input_dim) batch
-    whose row i has lengths[i] real positions and returns its hidden
-    states, (n, T, hidden), zero at the padded positions.
+    """Runs one layer from zero state over a padded batch of n rows and T
+    positions whose row i has lengths[i] real positions and returns its
+    hidden states, (n, T, hidden), zero at the padded positions.  The input
+    `x` is an (n, T, input_dim) tensor, or a `Lookup` of (n, T) token ids
+    in a (V, input_dim) table, which layer 1 reads: it projects each
+    distinct id at a valid position once, and its backward adds to the
+    table's gradient only the rows of those ids (`_lookup_input`).
 
     One tape op over a packed batch, as cuDNN and PyTorch pack padded
     sequences: the rows are taken longest first, and step t runs only the
-    rows longer than t, in the input projection (one matmul per block of
-    timesteps), the recurrence and backpropagation through time.  The
-    recurrence follows `lstm_step`'s gate order and arithmetic.  Gate
-    activations and cell states are kept only when a gradient can flow.
-    The backward is hand-written and stays packed: it fills one contiguous
-    block of pre-activation adjoints per step, from the last step to the
-    first, and forms the input gradient and the three weight gradients
-    from those valid positions only, with the inputs and the previous
-    states gathered at the same positions.
+    rows longer than t, in the input projection, the recurrence and
+    backpropagation through time.  The recurrence follows `lstm_step`'s
+    gate order and arithmetic.  Gate activations and cell states are kept
+    only when a gradient can flow.  The backward is hand-written and stays
+    packed: it fills one contiguous block of pre-activation adjoints per
+    step, from the last step to the first, and forms the input's gradient
+    and the three weight gradients from those valid positions only.
 
     The valid states are bitwise what the recurrence over every position
     gives wherever BLAS rounds a row of a product alike whatever other rows
     the product holds.  OpenBLAS does not for a one-row product (a
     matrix-vector kernel), so a step keeps at least MIN_ACTIVE_ROWS rows,
     and the states, and with them every prediction, stay byte-identical to
-    the dense recurrence.  The gradients sum the valid positions in
-    another order than a dense pass does, so they differ from it in the
-    last bits (relative 3e-15 at the benchmark's shapes).
+    the dense recurrence over the gathered rows.  The gradients sum the
+    valid positions in another order than a dense pass does, and a Lookup
+    sums each id's positions before multiplying, so they differ from it in
+    the last bits (relative 3e-15 at the benchmark's shapes).
 
     Without a gradient the states may be written into `out`, an (n, T,
-    hidden) array that may be x's own: each block of inputs is projected
-    before any of its positions is overwritten."""
+    hidden) array that may be a tensor input's own: each block of inputs is
+    projected before any of its positions is overwritten."""
     wx, wh, bias = params.input_weights, params.recurrent_weights, params.bias
-    if x.data.ndim != 3 or x.data.shape[2] != wx.data.shape[0]:
-        raise ShapeError(
-            f"lstm_layer expects (n, T, {wx.data.shape[0]}) input, got {x.data.shape}"
-        )
-    n, steps, d = x.data.shape
+    lookup = isinstance(x, Lookup)
+    if lookup:
+        source = x.table
+        ids = np.asarray(x.ids, dtype=np.intp)
+        shape = ids.shape + source.data.shape[1:]
+    else:
+        source = x
+        shape = x.data.shape
+    if len(shape) != 3 or shape[2] != wx.data.shape[0]:
+        raise ShapeError(f"lstm_layer expects (n, T, {wx.data.shape[0]}) input, got {shape}")
+    if lookup and ids.size and (ids.min() < 0 or ids.max() >= source.data.shape[0]):
+        raise DomainError("row id out of range")
+    n, steps, _ = shape
     hd = params.hidden_dim
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.shape != (n,):
@@ -187,25 +313,37 @@ def lstm_layer(params, x, lengths, out=None):
     # valid[t]: the number of rows longer than t, which come first in `order`
     valid = np.searchsorted(-ranked, -np.arange(steps)).tolist()
     floor = min(n, MIN_ACTIVE_ROWS)
+    active = [max(k, floor) for k in valid]
     # input projections for blocks of timesteps of about 2 MB each, so that
     # a large prediction batch never holds an (n, T, 4*hidden) temporary
     block = max(1, PROJECTION_BLOCK_BYTES // (n * 4 * hd * 8))
-    keep = is_recording((x, wx, wh, bias))
+    keep = is_recording((source, wx, wh, bias))
     if out is not None and keep:
         raise UsageError("lstm_layer writes into `out` only when no gradient is recorded")
+    # the valid positions in the order BPTT visits them: one block per
+    # step, from the last step to the first, each in `order`'s row order
+    # (flat indices into the (n * T) positions); a tensor input without a
+    # gradient needs none
+    live = positions = None
+    if lookup or keep:
+        back = np.arange(steps - 1, -1, -1)[:, None]
+        live = ranked > back   # (T, n), the same steps and rows
+        positions = (order * steps + back)[live]
+    if lookup:
+        projections, input_bwd = _lookup_input(
+            source, ids, wx, bias, active, block, live, positions
+        )
+    else:
+        projections, input_bwd = _blocked_input(x, wx, bias, order, active, block, positions)
     states = np.empty((n, steps, hd)) if out is None else out
     # saved per step for the active rows, in `order`'s row order
     gates = np.empty((n, steps, 4 * hd)) if keep else None   # activated i, f, g, o
     cells = np.empty((n, steps, hd)) if keep else None
     h = np.zeros((n, hd))
     c = np.zeros((n, hd))
-    for t in range(steps):
-        k = max(valid[t], floor)
-        if t % block == 0:
-            projected = x.data[order[:k], t : t + block].reshape(-1, d) @ wx.data
-            projected += bias.data
-            projected = projected.reshape(k, -1, 4 * hd)
-        pre = projected[:k, t % block] + h[:k] @ wh.data
+    for t, projected in enumerate(projections):
+        k = active[t]
+        pre = projected + h[:k] @ wh.data
         act = logistic(pre)
         act[:, 2 * hd : 3 * hd] = np.tanh(pre[:, 2 * hd : 3 * hd])
         if keep:
@@ -222,11 +360,6 @@ def lstm_layer(params, x, lengths, out=None):
         states[np.arange(steps) >= lengths[:, None]] = 0.0
 
     def bwd(g):
-        # the valid positions in the order BPTT visits them: one block per
-        # step, from the last step to the first, each in `order`'s row order
-        # (flat indices into the (n * T) positions)
-        back = np.arange(steps - 1, -1, -1)[:, None]
-        positions = (order * steps + back)[ranked > back]
         g_rows = g.reshape(n * steps, hd)[positions]
         d_pre = np.empty((len(positions), 4 * hd))   # packed like `positions`
         wh_t = wh.data.T
@@ -253,17 +386,13 @@ def lstm_layer(params, x, lengths, out=None):
             dh_next[:k] = dp @ wh_t
             dc_next[:k] = dc * f
             start += k
-        if x.requires_grad:
-            dx = np.zeros((n * steps, d))
-            dx[positions] = d_pre @ wx.data.T
-            _accumulate(x, dx.reshape(n, steps, d))
-        _accumulate(wx, x.data.reshape(n * steps, d)[positions].T @ d_pre)
+        input_bwd(d_pre)
         # the state before each position; step 0's block, last, has none
         inner = len(positions) - (valid[0] if steps else 0)
         prev_h = states.reshape(n * steps, hd)[positions[:inner] - 1]
         _accumulate(wh, prev_h.T @ d_pre[:inner])
         _accumulate(bias, d_pre.sum(axis=0))
-    return _node(states, (x, wx, wh, bias), bwd)
+    return _node(states, (source, wx, wh, bias), bwd)
 
 
 @dataclass
@@ -472,8 +601,9 @@ class BaseClassifier:
     # -- forward ------------------------------------------------------------
 
     def _embed(self, ids, lengths):
-        """Checks a batch and gathers its embeddings up to its longest row:
-        (n, T, embed_dim) with T = lengths.max()."""
+        """Checks a batch and returns layer 1's input: the `Lookup` of its
+        ids up to its longest row, (n, T) with T = lengths.max(), in the
+        embedding."""
         ids = np.asarray(ids)
         if (lengths < 1).any():
             raise DataError("cannot encode an empty sequence (true_length = 0)")
@@ -484,7 +614,7 @@ class BaseClassifier:
             )
         if ids.shape[1] < steps:
             raise ShapeError("token id rows shorter than stated true lengths")
-        return gather_rows(self.embedding, ids[:, :steps])
+        return Lookup(self.embedding, ids[:, :steps])
 
     def _encode(self, ids, lengths, masks):
         """Runs the recurrent stack over a batch padded to its longest row:

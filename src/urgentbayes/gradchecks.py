@@ -1,10 +1,11 @@
 """Packaged finite-difference verification suite.
 
 Covers every differentiable operation, including the fused recurrent
-layer and the batched attention, plus end-to-end losses for the
-deterministic, Monte Carlo dropout (dropout active, masks frozen by the
-random stream's identity) and variational models at a small fixed
-configuration (hidden 8, sequence 6, latent 4, vocabulary 20, batch 2).
+layer (over a tensor and over token ids) and the batched attention, plus
+end-to-end losses for the deterministic, Monte Carlo dropout (dropout
+active, masks frozen by the random stream's identity) and variational
+models at a small fixed configuration (hidden 8, sequence 6, latent 4,
+vocabulary 20, batch 2).
 Default seeds are frozen on well-conditioned draws: coordinates whose true
 gradient is below ~1e-7 sit at the central-difference roundoff floor
 and would fail the relative-error test even with a correct adjoint.
@@ -33,7 +34,7 @@ from .autodiff import (
     softmax_stable,
     tanh_op,
 )
-from .encoder import HyperParams, attend, init_lstm_layer, lstm_layer
+from .encoder import HyperParams, Lookup, attend, init_lstm_layer, lstm_layer
 from .errors import ConfigurationError
 from .training import build_model
 
@@ -80,6 +81,11 @@ def op_checks(seed: int) -> list[NamedCheck]:
     mixed = _param(gen, (5, 4, 3), "mixed", lo=-1.0, hi=1.0)
     mixed_lengths = np.array([2, 4, 1, 3, 1])
     mixed_weights = gen.normal(size=(5, 4, 2))
+    # drawn last, so the draws above stay as they were: repeated ids at
+    # valid positions, the pad id 0 at padded ones
+    vocab = _param(gen, (5, 3), "vocab", lo=-1.0, hi=1.0)
+    token_ids = np.array([[3, 1, 3, 2], [1, 0, 0, 0], [4, 4, 0, 0]])
+    token_weights = gen.normal(size=(3, 4, 2))
 
     cases = [
         ("add", lambda: (a + b).sum(), [a, b]),
@@ -114,6 +120,13 @@ def op_checks(seed: int) -> list[NamedCheck]:
             "lstm_layer_mixed",
             lambda: (lstm_layer(layer, mixed, mixed_lengths) * mixed_weights).sum(),
             [mixed] + layer.parameters(),
+        ),
+        (
+            "lstm_layer_ids",
+            lambda: (
+                lstm_layer(layer, Lookup(vocab, token_ids), seq_lengths) * token_weights
+            ).sum(),
+            [vocab] + layer.parameters(),
         ),
         (
             "attention_softmax",

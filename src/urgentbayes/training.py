@@ -89,8 +89,9 @@ def _live_rows(state: AdaptiveMomentState, i: int, p: Parameter) -> np.ndarray |
     rows that never had a nonzero gradient can be skipped exactly.  New
     nonzero rows are looked for only among the rows `p.grad_rows` records
     (every row when it records none), so a batch's cost follows the rows it
-    gathered; a recorded row whose gradient is zero, such as the padding
-    id's, does not become live."""
+    read; a recorded row whose gradient is zero does not become live.  The
+    padding id is recorded only when a post contains it, so its row stays
+    out of the live set when it only pads."""
     live = state.live[i]
     if live is None:
         return None

@@ -29,6 +29,7 @@ from urgentbayes.autodiff import (
 from urgentbayes.encoder import (
     BaseClassifier,
     HyperParams,
+    Lookup,
     attend,
     init_lstm_layer,
     lstm_layer,
@@ -81,6 +82,9 @@ TAPE_OPS = {
         _param(3, 2), np.array([0, 1, 1])
     ),
     "lstm_layer": lambda: lstm_layer(_LAYER, _param(2, 3, 4), [3, 3]),
+    "lstm_layer_ids": lambda: lstm_layer(
+        _LAYER, Lookup(_param(5, 4), np.array([[1, 4, 1], [2, 0, 0]])), [3, 1]
+    ),
     "attend_softmax": lambda: attend(_param(3, 4, 2), _param(3, 2), [4, 2, 1], "softmax"),
     "attend_ratio": lambda: attend(_param(3, 4, 2), _param(3, 2), [4, 2, 1], "ratio"),
 }

@@ -21,7 +21,8 @@ EXPECTED_OPS = {
     "add", "subtract", "multiply", "divide", "negate", "matmul", "affine",
     "transpose_slice", "sigmoid", "tanh", "exp", "log", "clip", "softmax",
     "concat", "gather_rows", "sum_axis", "mean", "cross_entropy",
-    "lstm_layer", "lstm_layer_mixed", "attention_softmax", "attention_ratio",
+    "lstm_layer", "lstm_layer_mixed", "lstm_layer_ids", "attention_softmax",
+    "attention_ratio",
 }
 
 

@@ -559,7 +559,7 @@ class TestGradientRowRecord:
             (grad, norm), (dense_grad, dense_norm) = step
             recorded = model.embedding.grad_rows
             assert not np.delete(grad, recorded, axis=0).any(), t
-            assert 0 in recorded  # the pad id is gathered at padded positions
+            assert 0 not in recorded  # the pad id is read at padded positions only
             assert grad.tobytes() == dense_grad.tobytes(), t
             assert norm == dense_norm, t
             norms.append(norm)
