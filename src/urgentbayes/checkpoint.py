@@ -8,13 +8,16 @@ float64 little-endian bytes. Loading rejects unknown versions, bad
 magic, truncation, header values no model can be built from, a
 vocabulary that `corpus.load_vocabulary` would reject, non-finite block
 values, and any name or shape that disagrees with the model rebuilt from
-the header.
+the header.  Saving writes each array's buffer as it is, and loading reads
+each block straight into its array once its declared size is known to
+fit in the file, so neither makes a copy of the whole file.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 
@@ -60,7 +63,7 @@ def _write_block(out, name: str, array: np.ndarray) -> None:
     out.write(struct.pack("<I", array.ndim))
     for dim in array.shape:
         out.write(struct.pack("<Q", dim))
-    out.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    out.write(np.ascontiguousarray(array, dtype="<f8").data)
 
 
 def save_checkpoint(
@@ -88,17 +91,40 @@ def save_checkpoint(
 
 
 class _Reader:
-    def __init__(self, blob: bytes, path: str):
-        self.blob = blob
-        self.pos = 0
+    """Reads a checkpoint from its open file.  Each declared size is checked
+    against the bytes the file has left before anything is read or
+    allocated, so a corrupt size cannot ask for more memory than the file
+    holds."""
+
+    def __init__(self, f, path: str):
+        self.f = f
         self.path = path
+        self.pos = 0
+        self.size = os.fstat(f.fileno()).st_size
+
+    def _claim(self, n: int) -> None:
+        if n > self.size - self.pos:
+            raise CheckpointError(f"{self.path}: truncated checkpoint")
+        self.pos += n
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
+        self._claim(n)
+        chunk = self.f.read(n)
+        if len(chunk) != n:
             raise CheckpointError(f"{self.path}: truncated checkpoint")
-        chunk = self.blob[self.pos : self.pos + n]
-        self.pos += n
         return chunk
+
+    def block(self, shape: tuple) -> np.ndarray:
+        """A float64 block of `shape`, read straight into its array; numpy's
+        ValueError for a shape no array can take passes through."""
+        self._claim(math.prod(shape) * 8)
+        values = np.empty(shape, dtype="<f8")
+        if self.f.readinto(values.reshape(-1).view(np.uint8)) != values.nbytes:
+            raise CheckpointError(f"{self.path}: truncated checkpoint")
+        return values.astype(np.float64, copy=False)
+
+    def at_end(self) -> bool:
+        return self.pos == self.size
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -118,13 +144,9 @@ def _section(header: dict, name: str) -> dict:
     return values
 
 
-def load_checkpoint(path: str) -> CheckpointData:
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    r = _Reader(blob, path)
+def _read_file(r: _Reader) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and the parameter blocks of the checkpoint `r` reads."""
+    path = r.path
     if r.take(len(MAGIC)) != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     version = r.u32()
@@ -152,21 +174,30 @@ def load_checkpoint(path: str) -> CheckpointData:
             raise CheckpointError(f"{path}: block name is not UTF-8: {exc}") from exc
         ndim = r.u32()
         shape = tuple(r.u64() for _ in range(ndim))
-        values = np.frombuffer(r.take(math.prod(shape) * 8), dtype="<f8")
-        if name in params:
-            raise CheckpointError(f"{path}: duplicate parameter block {name!r}")
         try:
-            params[name] = values.reshape(shape).astype(np.float64)
+            values = r.block(shape)
         except ValueError as exc:
             raise CheckpointError(
                 f"{path}: block {name!r} has impossible shape {shape}: {exc}"
             ) from exc
+        if name in params:
+            raise CheckpointError(f"{path}: duplicate parameter block {name!r}")
+        params[name] = values
         try:
-            _check_finite(params[name], f"block {name!r}")
+            _check_finite(values, f"block {name!r}")
         except NonFiniteError as exc:
             raise CheckpointError(f"{path}: {exc}") from exc
-    if r.pos != len(blob):
+    if not r.at_end():
         raise CheckpointError(f"{path}: trailing bytes after last block")
+    return header, params
+
+
+def load_checkpoint(path: str) -> CheckpointData:
+    try:
+        with open(path, "rb") as f:
+            header, params = _read_file(_Reader(f, path))
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
 
     if header["model_kind"] not in MODEL_KINDS:
         raise CheckpointError(
@@ -213,11 +244,15 @@ def load_checkpoint(path: str) -> CheckpointData:
 
 def restore_model(data: CheckpointData) -> BaseClassifier:
     """Rebuild a model from checkpoint data, verifying every block."""
-    vocab_size = len(data.vocab_tokens)
-    placeholder = np.zeros((vocab_size, data.hyperparams.embed_dim))
+    # the model starts from the stored embedding; a block that cannot be
+    # one is left to the checks below, which name it
+    shape = (len(data.vocab_tokens), data.hyperparams.embed_dim)
+    embedding = data.params.get("embedding")
+    if embedding is None or embedding.shape != shape:
+        embedding = np.zeros(shape)
     model = build_model(
         data.hyperparams,
-        placeholder,
+        embedding,
         data.model_kind,
         seed=0,
         mcd_cfg=data.mcd_cfg,

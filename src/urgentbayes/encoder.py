@@ -39,6 +39,7 @@ from .autodiff import (
     Tensor,
     _accumulate,
     _check_finite,
+    _logistic_passes,
     _node,
     _record_rows,
     affine,
@@ -46,7 +47,6 @@ from .autodiff import (
     cross_entropy_from_logits,
     gather_rows,  # unused here; perfbench's tracer wraps encoder.gather_rows by name
     is_recording,
-    logistic,
     matmul,
     no_grad,
     sigmoid,
@@ -269,11 +269,16 @@ def lstm_layer(params, x, lengths, out=None):
     sequences: the rows are taken longest first, and step t runs only the
     rows longer than t, in the input projection, the recurrence and
     backpropagation through time.  The recurrence follows `lstm_step`'s
-    gate order and arithmetic.  Gate activations and cell states are kept
-    only when a gradient can flow.  The backward is hand-written and stays
-    packed: it fills one contiguous block of pre-activation adjoints per
-    step, from the last step to the first, and forms the input's gradient
-    and the three weight gradients from those valid positions only.
+    gate order and arithmetic.  A step's pre-activations go into one reused
+    buffer, and `logistic`'s in-place passes write the gates from there
+    straight into their saved block, or back into the buffer when nothing
+    is saved.  Gate activations and cell states are kept only when a
+    gradient can flow, time-major, (T, n, 4*hidden) and (T, n, hidden), so
+    each step's block is contiguous.  The backward is hand-written and
+    stays packed: it fills one contiguous block of pre-activation adjoints
+    per step, from the last step to the first, and forms the input's
+    gradient and the three weight gradients from those valid positions
+    only.
 
     The valid states are bitwise what the recurrence over every position
     gives wherever BLAS rounds a row of a product alike whatever other rows
@@ -336,55 +341,75 @@ def lstm_layer(params, x, lengths, out=None):
     else:
         projections, input_bwd = _blocked_input(x, wx, bias, order, active, block, positions)
     states = np.empty((n, steps, hd)) if out is None else out
-    # saved per step for the active rows, in `order`'s row order
-    gates = np.empty((n, steps, 4 * hd)) if keep else None   # activated i, f, g, o
-    cells = np.empty((n, steps, hd)) if keep else None
+    # saved time-major, each step's active rows in `order`'s row order, so
+    # a step's block is contiguous
+    gates = np.empty((steps, n, 4 * hd)) if keep else None   # activated i, f, g, o
+    cells = np.empty((steps, n, hd)) if keep else None
+    work = np.empty((n, 4 * hd))   # each step's pre-activations
+    spare = np.empty((n, hd))   # each step's candidate, then input * candidate
     h = np.zeros((n, hd))
     c = np.zeros((n, hd))
-    for t, projected in enumerate(projections):
-        k = active[t]
-        pre = projected + h[:k] @ wh.data
-        act = logistic(pre)
-        act[:, 2 * hd : 3 * hd] = np.tanh(pre[:, 2 * hd : 3 * hd])
-        if keep:
-            # the gates saturate, so an overflow here would not reach the
-            # output; training detects divergence through this check
-            _check_finite(pre, "LSTM pre-activation")
-            gates[:k, t] = act
-        c[:k] = act[:, hd : 2 * hd] * c[:k] + act[:, :hd] * act[:, 2 * hd : 3 * hd]
-        h[:k] = act[:, 3 * hd :] * np.tanh(c[:k])
-        states[order[: valid[t]], t] = h[: valid[t]]
-        if keep:
-            cells[:k, t] = c[:k]
+    # a gate whose pre-activation lies below about -709.78 overflows e^-z
+    # and is 0.0
+    with np.errstate(over="ignore"):
+        for t, projected in enumerate(projections):
+            k = active[t]
+            pre = np.matmul(h[:k], wh.data, out=work[:k])
+            pre += projected
+            if keep:
+                # the gates saturate, so an overflow here would not reach
+                # the output; training detects divergence through this check
+                _check_finite(pre, "LSTM pre-activation")
+            cand = np.tanh(pre[:, 2 * hd : 3 * hd], out=spare[:k])
+            act = _logistic_passes(pre, gates[t, :k] if keep else pre)
+            act[:, 2 * hd : 3 * hd] = cand
+            cand *= act[:, :hd]
+            c_t, h_t = c[:k], h[:k]
+            c_t *= act[:, hd : 2 * hd]
+            c_t += cand
+            np.tanh(c_t, out=h_t)
+            h_t *= act[:, 3 * hd :]
+            states[order[: valid[t]], t] = h[: valid[t]]
+            if keep:
+                cells[t, :k] = c_t
     if valid and valid[-1] < n:
         states[np.arange(steps) >= lengths[:, None]] = 0.0
 
     def bwd(g):
         g_rows = g.reshape(n * steps, hd)[positions]
         d_pre = np.empty((len(positions), 4 * hd))   # packed like `positions`
+        slopes = np.empty((n, 4 * hd))
+        tanh_cs, dhs, dcs = np.empty((n, hd)), np.empty((n, hd)), np.empty((n, hd))
         wh_t = wh.data.T
         dh_next = np.zeros((n, hd))   # a row is first written at its last step
         dc_next = np.zeros((n, hd))
         start = 0
         for t in range(steps - 1, -1, -1):
             k = valid[t]
-            act, c_t = gates[:k, t], cells[:k, t]
+            act = gates[t, :k]
             i, f = act[:, :hd], act[:, hd : 2 * hd]
             cand, o = act[:, 2 * hd : 3 * hd], act[:, 3 * hd :]
-            tanh_c = np.tanh(c_t)
+            tanh_c = np.tanh(cells[t, :k], out=tanh_cs[:k])
             # d(gate)/d(pre-activation), and dc_t/dh_t through h = o * tanh(c)
-            slope = act * (1.0 - act)
-            slope[:, 2 * hd : 3 * hd] = 1.0 - cand * cand
-            dh = g_rows[start : start + k] + dh_next[:k]
-            dc = dc_next[:k] + dh * (o * (1.0 - tanh_c * tanh_c))
+            slope = np.subtract(1.0, act, out=slopes[:k])
+            slope *= act
+            slope_cand = np.multiply(cand, cand, out=slope[:, 2 * hd : 3 * hd])
+            np.subtract(1.0, slope_cand, out=slope_cand)
+            dh = np.add(g_rows[start : start + k], dh_next[:k], out=dhs[:k])
+            # dc = dc_next + dh * (o * (1 - tanh_c * tanh_c)), in place
+            dc = np.multiply(tanh_c, tanh_c, out=dcs[:k])
+            np.subtract(1.0, dc, out=dc)
+            dc *= o
+            dc *= dh
+            dc += dc_next[:k]
             dp = d_pre[start : start + k]
-            dp[:, :hd] = dc * cand
-            dp[:, hd : 2 * hd] = dc * (cells[:k, t - 1] if t else 0.0)
-            dp[:, 2 * hd : 3 * hd] = dc * i
-            dp[:, 3 * hd :] = dh * tanh_c
+            np.multiply(dc, cand, out=dp[:, :hd])
+            np.multiply(dc, cells[t - 1, :k] if t else 0.0, out=dp[:, hd : 2 * hd])
+            np.multiply(dc, i, out=dp[:, 2 * hd : 3 * hd])
+            np.multiply(dh, tanh_c, out=dp[:, 3 * hd :])
             dp *= slope
-            dh_next[:k] = dp @ wh_t
-            dc_next[:k] = dc * f
+            np.matmul(dp, wh_t, out=dh_next[:k])
+            np.multiply(dc, f, out=dc_next[:k])
             start += k
         input_bwd(d_pre)
         # the state before each position; step 0's block, last, has none

@@ -9,6 +9,7 @@ recurrence over every position (`dense_lstm_layer`): its valid states bit
 for bit, and its gradients to 1e-12 of each array's largest magnitude."""
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,22 @@ def test_lstm_layer_rejects_overflowing_pre_activation():
     layer.input_weights.data[...] = 1e200
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         lstm_layer(layer, Tensor(np.full((1, 3, 2), 1e200)), [3])
+
+
+def test_lstm_layer_saturates_gates_below_the_exp_range_without_warning():
+    # pre-activations near -1e3, where e^-z overflows: under no_grad, and
+    # recorded, since they are finite, the gates are exactly 0 and the
+    # states finite
+    layer = init_lstm_layer(2, 2, RngStream(0), "layer")
+    layer.input_weights.data[...] = -500.0
+    x = Tensor(np.ones((2, 3, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with no_grad():
+            free = lstm_layer(layer, x, [3, 2]).data
+        recorded = lstm_layer(layer, x, [3, 2]).data
+    assert np.isfinite(free).all()
+    assert free.tobytes() == recorded.tobytes()
 
 
 # -- attention ------------------------------------------------------------------

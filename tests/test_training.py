@@ -1,6 +1,10 @@
 """Training loop, optimizer, evaluation glue, and checkpoint format."""
 
+import json
 import math
+import struct
+import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -805,6 +809,69 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(str(path))
+
+    def test_one_trailing_byte(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(str(path), tiny_model(seed=18), ["<pad>", "<unk>"])
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("kind", ["base", "mcd", "vi"])
+    def test_saved_bytes_match_reference_layout(self, tmp_path, kind):
+        # the format as first written, every block through `tobytes`
+        model = tiny_model(kind, seed=29)
+        tokens = ["<pad>", "<unk>"] + [f"t{i}" for i in range(18)]
+        header = {
+            "model_kind": kind,
+            "hyperparams": asdict(model.hp),
+            "mcd": asdict(model.cfg) if kind == "mcd" else None,
+            "vi": asdict(model.cfg) if kind == "vi" else None,
+            "vocab": tokens,
+        }
+        encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+        params = model.parameters()
+        expected = [MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(encoded)), encoded,
+                    struct.pack("<I", len(params))]
+        for p in params:
+            name = p.name.encode("utf-8")
+            expected += [struct.pack("<I", len(name)), name, struct.pack("<I", p.data.ndim)]
+            expected += [struct.pack("<Q", dim) for dim in p.data.shape]
+            expected.append(p.data.astype("<f8").tobytes())
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), model, tokens)
+        assert path.read_bytes() == b"".join(expected)
+
+    def test_oversized_block_is_truncation_without_allocating(self, tmp_path, declare_first_shape):
+        # 8 TiB declared in a file of a few hundred bytes
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(str(path), tiny_model(seed=30), ["<pad>", "<unk>"])
+        declare_first_shape(str(path), (2**20, 2**20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_checkpoint(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_restore_peak_memory(self, tmp_path):
+        # the loaded blocks, the model's copy of them and its lazily mapped
+        # zero gradient: about 3x the embedding, and no whole-file copies
+        hp = tiny_hp(embed_dim=300)
+        emb = RngStream(31).generator().uniform(-0.5, 0.5, (20_000, 300))
+        path = str(tmp_path / "wide.ckpt")
+        save_checkpoint(path, build_model(hp, emb, "base", 31),
+                        ["<pad>", "<unk>"] + [f"t{i}" for i in range(19_998)])
+        tracemalloc.start()
+        try:
+            restored = restore_model(load_checkpoint(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert restored.embedding.data.tobytes() == emb.tobytes()
+        assert peak <= 3.3 * emb.nbytes
 
     def test_impossible_block_shape(self, tmp_path, declare_first_shape, impossible_shape):
         # the element count must not wrap: an oversized block reads as
