@@ -173,19 +173,21 @@ class Parameter(Tensor):
 
     `grad_rows` records the rows (indices along the first axis) of `grad`
     that can be nonzero, as a sorted array without repeats; None means any
-    row can.  `zero_grad` zeroes only the recorded rows and leaves the
-    record empty, the backwards of `gather_rows` and of `encoder.lstm_layer`
-    over a `Lookup` add the rows they write (`_record_rows`), and
-    `_accumulate` drops the record, since it writes every row.  So the cost
-    of zeroing, measuring and clipping an embedding's gradient follows the
-    ids a batch reads, not the size of the table; the encoder reads ids at
-    valid positions only, so the padding id is recorded only when a post
-    contains it.  A new parameter has no record, so its `grad` may be
-    filled in place before the first `zero_grad`.  The one unsupported
-    write is filling `grad` in place after `zero_grad` without going
-    through `_accumulate`: rows it writes outside the record would be
-    skipped by the gradient norm and the optimizer, and would not be zeroed
-    by the next `zero_grad`."""
+    row can.  `grad_index` indexes those rows, so `zero_grad`, the gradient
+    norm, clipping and the optimizer read only them.  Three writers keep
+    the record: `add_rows`, the one sparse write, adds to distinct rows and
+    records them; `record_rows` records rows a caller has written (the
+    backward of `gather_rows`); `_accumulate` drops the record, since it
+    writes every row.  `zero_grad` zeroes the recorded rows and leaves the
+    record empty.  So the cost of zeroing, measuring and clipping an
+    embedding's gradient follows the ids a batch reads, not the size of the
+    table; the encoder reads ids at valid positions only, so the padding id
+    is recorded only when a post contains it.  A new parameter has no
+    record, so its `grad` may be filled in place before the first
+    `zero_grad`.  Any other write to `grad` after `zero_grad` breaks the
+    record: rows it writes outside the record would be skipped by the
+    gradient norm and the optimizer, and would not be zeroed by the next
+    `zero_grad`."""
 
     __slots__ = ("name", "grad_rows")
 
@@ -196,12 +198,31 @@ class Parameter(Tensor):
         self.grad = np.zeros(self.data.shape)  # lazily mapped until first written
         self.grad_rows = None
 
+    @property
+    def grad_index(self):
+        """The rows of `grad` that can be nonzero, as an index: the record,
+        or every row when there is none."""
+        return slice(None) if self.grad_rows is None else self.grad_rows
+
     def zero_grad(self):
-        if self.grad_rows is None:
-            self.grad[...] = 0.0
-        else:
-            self.grad[self.grad_rows] = 0.0
+        self.grad[self.grad_index] = 0.0
         self.grad_rows = np.empty(0, dtype=np.intp)
+
+    def add_rows(self, rows, values):
+        """grad[rows] += values for distinct `rows`, which join the record."""
+        self.grad[rows] += values
+        self.record_rows(rows)
+
+    def record_rows(self, rows):
+        """Adds `rows`, indices along the first axis, to the record, kept
+        sorted and without repeats; without a record (any row can be
+        nonzero) there is nothing to add to."""
+        if self.grad_rows is not None:
+            # np.union1d would do, but its first call adds 1.5 MB to the
+            # peak resident set (NumPy 2.4)
+            merged = np.concatenate((self.grad_rows, rows))
+            merged.sort()
+            self.grad_rows = merged[np.diff(merged, prepend=-1) != 0]
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -463,8 +484,8 @@ def gather_rows(table, ids):
     """Select rows of a (V, d) table by an id array of any shape; the output
     has shape ids.shape + (d,).  Adjoints scatter-add straight into the
     table's gradient buffer, touching only the selected rows, so a row used
-    twice receives twice the gradient; a `Parameter` table adds those rows
-    to its `grad_rows` record."""
+    twice receives twice the gradient; a `Parameter` table records those
+    rows (`Parameter.record_rows`)."""
     ids = np.asarray(ids, dtype=np.intp)
     if table.data.ndim != 2:
         raise ShapeError("gather_rows expects a 2-d table")
@@ -474,20 +495,9 @@ def gather_rows(table, ids):
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
         np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-        _record_rows(table, ids.reshape(-1))
+        if isinstance(table, Parameter):
+            table.record_rows(ids.reshape(-1))
     return _node(table.data[ids], (table,), bwd)
-
-
-def _record_rows(table, rows):
-    """Adds `rows`, indices along the first axis, to a `Parameter`'s
-    `grad_rows` record, kept sorted and without repeats; a table without a
-    record (any row can be nonzero) keeps none."""
-    if isinstance(table, Parameter) and table.grad_rows is not None:
-        # np.union1d would do, but its first call adds 1.5 MB to the peak
-        # resident set (NumPy 2.4)
-        merged = np.concatenate((table.grad_rows, rows))
-        merged.sort()
-        table.grad_rows = merged[np.diff(merged, prepend=-1) != 0]
 
 
 def cross_entropy_from_logits(logits, labels):

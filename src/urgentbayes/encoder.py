@@ -41,7 +41,6 @@ from .autodiff import (
     _check_finite,
     _logistic_passes,
     _node,
-    _record_rows,
     affine,
     concat,
     cross_entropy_from_logits,
@@ -75,12 +74,14 @@ AFTER_LAYER_2 = 1
 PREDICTION_INPUT = 2
 
 
-def require_counts(owner, names):
-    """Raises ConfigurationError unless each named field is an int >= 1, not a bool."""
+def require_counts(owner, names, minimum=1):
+    """Raises ConfigurationError unless each named field is an int >= minimum
+    (1 or 0), not a bool."""
     for name in names:
         value = getattr(owner, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+            sign = "positive" if minimum else "non-negative"
+            raise ConfigurationError(f"{name} must be a {sign} integer, got {value!r}")
 
 
 @dataclass
@@ -150,7 +151,8 @@ def lstm_step(params, h_prev, c_prev, x):
 class Lookup(NamedTuple):
     """Token ids, an (n, T) int array, naming rows of a (V, d) embedding
     `table`: the input `lstm_layer` reads in place of the (n, T, d) rows
-    they would gather."""
+    they would gather.  A table that needs a gradient is a `Parameter`,
+    whose `add_rows` the backward writes through."""
 
     table: Tensor
     ids: np.ndarray
@@ -213,7 +215,7 @@ def _lookup_input(table, ids, wx, bias, active, block, live, positions):
     first, over the runs of the forward's stable sort of the ids
     (`_segment_sums`), so the table's gradient rows, D @ wx.T, and wx's
     gradient, table[u].T @ D, come from one row D per distinct id, and only
-    those ids enter the table's `grad_rows` record."""
+    those ids enter the table's row record (`Parameter.add_rows`)."""
     n, steps = ids.shape
     tokens = ids.reshape(-1)[positions]
     sort = tokens.argsort(kind="stable")
@@ -247,10 +249,7 @@ def _lookup_input(table, ids, wx, bias, active, block, live, positions):
     def bwd(d_pre):
         segments = _segment_sums(d_pre, sort, starts)   # one row per id
         if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            table.grad[distinct] += segments @ wx.data.T
-            _record_rows(table, distinct)
+            table.add_rows(distinct, segments @ wx.data.T)
         _accumulate(wx, table.data[distinct].T @ segments)
 
     return projections(), bwd
@@ -297,6 +296,8 @@ def lstm_layer(params, x, lengths, out=None):
     lookup = isinstance(x, Lookup)
     if lookup:
         source = x.table
+        if source.requires_grad and not isinstance(source, Parameter):
+            raise UsageError("a Lookup's table receives a gradient only as a Parameter")
         ids = np.asarray(x.ids, dtype=np.intp)
         shape = ids.shape + source.data.shape[1:]
     else:

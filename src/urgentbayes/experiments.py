@@ -77,8 +77,7 @@ class ExperimentPlan:
             )
         require_counts(self, ("n_runs",))
         # the split seeds NumPy with (seed, run), which must be non-negative
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed!r}")
+        require_counts(self, ("seed",), minimum=0)
         if not self.model_kinds:
             raise ConfigurationError("at least one model kind is required")
         for kind in self.model_kinds:
@@ -88,6 +87,11 @@ class ExperimentPlan:
             raise ConfigurationError("model kinds must be distinct")
         self.hp.validate()
         self.train_cfg.validate()
+        # checked here, not only when run 0 first builds that kind
+        if self.mcd_cfg is not None:
+            self.mcd_cfg.validate()
+        if self.vi_cfg is not None:
+            self.vi_cfg.validate_against(self.hp)
 
 
 @dataclass
@@ -101,43 +105,23 @@ class ExperimentSummary:
         return int(np.argmax(accs))  # first max wins ties
 
     def to_dict(self) -> dict:
-        models = {}
+        models, table = {}, {}
         for kind in self.plan.model_kinds:
             runs = self.reports[kind]
             flats = [flatten_metrics(r) for r in runs]
-            mean, variance, std = {}, {}, {}
+            spread = {}
             for key in METRIC_KEYS:
                 m, v = mean_and_variance([f[key] for f in flats])
-                mean[key] = m
-                variance[key] = v
-                std[key] = float(np.sqrt(v))
+                spread[key] = {"mean": m, "variance": v, "std": float(np.sqrt(v))}
             best = self.best_run_index(kind)
             models[kind] = {
                 "runs": [r.to_dict() for r in runs],
-                "mean": mean,
-                "variance": variance,
-                "std": std,
+                **{part: {k: spread[k][part] for k in METRIC_KEYS}
+                   for part in ("mean", "variance", "std")},
                 "best_run_index": best,
                 "best_run": runs[best].to_dict(),
             }
-        if self.plan.protocol == "80_20":
-            table = {
-                kind: {k: flatten_metrics(self.reports[kind][models[kind]["best_run_index"]])[k]
-                       for k in METRIC_KEYS}
-                for kind in self.plan.model_kinds
-            }
-        else:
-            table = {
-                kind: {
-                    k: {
-                        "mean": models[kind]["mean"][k],
-                        "variance": models[kind]["variance"][k],
-                        "std": models[kind]["std"][k],
-                    }
-                    for k in METRIC_KEYS
-                }
-                for kind in self.plan.model_kinds
-            }
+            table[kind] = flats[best] if self.plan.protocol == "80_20" else spread
         return {
             "protocol": self.plan.protocol,
             "train_fraction": PROTOCOLS[self.plan.protocol],

@@ -45,11 +45,7 @@ class TrainConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigurationError("learning_rate must be finite and positive")
         require_counts(self, ("batch_size",))
-        if (isinstance(self.epochs, bool) or not isinstance(self.epochs, (int, np.integer))
-                or self.epochs < 0):
-            raise ConfigurationError(
-                f"epochs must be a non-negative integer, got {self.epochs!r}"
-            )
+        require_counts(self, ("epochs",), minimum=0)
         if self.model_kind not in MODEL_KINDS:
             raise ConfigurationError(
                 f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}"
@@ -95,11 +91,8 @@ def _live_rows(state: AdaptiveMomentState, i: int, p: Parameter) -> np.ndarray |
     live = state.live[i]
     if live is None:
         return None
-    rows = p.grad_rows
-    if rows is None:
-        live |= p.grad.any(axis=1)
-    else:
-        live[rows[p.grad[rows].any(axis=1)]] = True
+    rows = p.grad_index
+    live[rows] |= p.grad[rows].any(axis=1)
     if np.count_nonzero(live) > SPARSE_MAX_LIVE_SHARE * live.size:
         state.live[i] = None  # live rows never die, so the update stays dense
         return None
@@ -155,8 +148,7 @@ def _row_square_sums(p: Parameter) -> list[float]:
     records (every row when it records none); a 1-D gradient is one row.
     A row's sum does not depend on which other rows are summed."""
     g = p.grad.reshape(1, -1) if p.grad.ndim < 2 else p.grad.reshape(len(p.grad), -1)
-    if p.grad_rows is not None:
-        g = g[p.grad_rows]
+    g = g[p.grad_index]
     return (g * g).sum(axis=1).tolist()
 
 
@@ -185,10 +177,7 @@ def clip_gradient_norm(params: list[Parameter], max_norm: float | None) -> float
     if max_norm is not None and norm > max_norm:
         scale = max_norm / norm
         for p in params:
-            if p.grad_rows is None:
-                p.grad *= scale
-            else:
-                p.grad[p.grad_rows] *= scale
+            p.grad[p.grad_index] *= scale
     return norm
 
 

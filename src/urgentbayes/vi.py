@@ -44,6 +44,14 @@ class ViConfig:
         if not (math.isfinite(self.kl_weight) and self.kl_weight >= 0):
             raise ConfigurationError(f"kl_weight must be finite and >= 0, got {self.kl_weight}")
 
+    def validate_against(self, hp):
+        """`validate`, and that the latent size is the heads' `hp.z_dim`."""
+        self.validate()
+        if self.z_dim != hp.z_dim:
+            raise ConfigurationError(
+                f"latent size disagreement: heads built for {hp.z_dim}, config says {self.z_dim}"
+            )
+
 
 @dataclass
 class GaussianDiag:
@@ -180,11 +188,7 @@ class ViClassifier(BaseClassifier):
     def __init__(self, hp, embedding_matrix, rng, cfg=None):
         super().__init__(hp, embedding_matrix, rng)
         cfg = cfg if cfg is not None else ViConfig(z_dim=hp.z_dim)
-        cfg.validate()
-        if cfg.z_dim != hp.z_dim:
-            raise ConfigurationError(
-                f"latent size disagreement: heads built for {hp.z_dim}, config says {cfg.z_dim}"
-            )
+        cfg.validate_against(hp)
         self.cfg = cfg
 
     def _build_head(self, init):

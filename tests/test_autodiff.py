@@ -229,8 +229,22 @@ class TestBackwardContracts:
         assert table.grad_rows is None
         backward(gather_rows(table, np.array([0])).sum())
         assert table.grad_rows is None
+        # without a record, grad_index selects every row
+        assert table.grad[table.grad_index].shape == (5, 2)
         table.zero_grad()
         assert not table.grad.any() and table.grad_rows.tolist() == []
+        # add_rows adds to distinct rows and merges them into the record
+        table.add_rows(np.array([4, 2]), np.array([[1.0, 2.0], [3.0, 4.0]]))
+        table.add_rows(np.array([2]), np.array([[0.5, 0.5]]))
+        assert table.grad_rows.tolist() == [2, 4]
+        assert table.grad_index.tolist() == [2, 4]
+        np.testing.assert_array_equal(table.grad[[2, 4]], [[3.5, 4.5], [1.0, 2.0]])
+        assert not table.grad[[0, 1, 3]].any()
+        # a plain tensor table still accumulates, and keeps no record
+        plain = Tensor(np.ones((3, 2)), requires_grad=True)
+        backward(gather_rows(plain, np.array([2, 2, 0])).sum())
+        np.testing.assert_array_equal(plain.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
+        assert not hasattr(plain, "grad_rows")
 
     def test_non_scalar_loss_rejected(self):
         a = Parameter(np.ones(3), "a")

@@ -22,9 +22,11 @@ from urgentbayes.experiments import (
     flatten_metrics,
     run_experiment,
 )
+from urgentbayes.mcd import McdConfig
 from urgentbayes.metrics import ClassMetrics, MetricsReport
 from urgentbayes.synthetic import separable_corpus, synthetic_posts, write_posts_csv
 from urgentbayes.training import TrainConfig
+from urgentbayes.vi import ViConfig
 
 
 def tiny_setup(n=12, seed=0, max_len=8):
@@ -78,11 +80,30 @@ class TestPlanValidation:
             dict(n_runs=True),
             dict(seed=-1),
             dict(seed=2.5),
+            dict(seed=True),
         ],
     )
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigurationError):
             fast_plan(**kwargs).validate()
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            (dict(vi_cfg=ViConfig(z_dim=2, m_test=0)), "m_test must be a positive integer"),
+            (dict(vi_cfg=ViConfig(z_dim=3)), "latent size disagreement"),
+            (dict(mcd_cfg=McdConfig(dropout_rate=1.5)), "dropout_rate must be in"),
+        ],
+    )
+    def test_bad_section_fails_before_training(self, monkeypatch, section, message):
+        # a bad vi or mcd section must not wait for run 0 to build that kind
+        examples, emb, hp = tiny_setup()
+        calls = []
+        monkeypatch.setattr(experiments, "train", lambda *args: calls.append(args))
+        plan = fast_plan(model_kinds=("base", "mcd", "vi"), hp=hp, **section)
+        with pytest.raises(ConfigurationError, match=message):
+            run_experiment(examples, emb, plan)
+        assert calls == []
 
 
 class TestSplitFairness:

@@ -64,7 +64,7 @@ class TestRunAll:
         with pytest.raises(ConfigurationError):
             run_all("huge")
 
-    @pytest.mark.parametrize("seed", [-1, 2.5])
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         message = f"seed must be a non-negative integer, got {seed!r}"
         with pytest.raises(ConfigurationError, match=message):

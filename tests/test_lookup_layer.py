@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from urgentbayes import encoder
-from urgentbayes.autodiff import Parameter, RngStream, backward, gather_rows, no_grad
+from urgentbayes.autodiff import Parameter, RngStream, Tensor, backward, gather_rows, no_grad
 from urgentbayes.encoder import BaseClassifier, HyperParams, Lookup, init_lstm_layer, lstm_layer
-from urgentbayes.errors import DomainError, ShapeError
+from urgentbayes.errors import DomainError, ShapeError, UsageError
 from urgentbayes.training import build_model
 
 RTOL = 1e-12
@@ -155,6 +155,14 @@ def test_lookup_shape_errors():
     ]:
         with pytest.raises(ShapeError):
             lstm_layer(layer, Lookup(table, token_ids), np.array([3, 2]))
+
+
+def test_lookup_table_with_a_gradient_must_be_a_parameter():
+    # its backward writes through Parameter.add_rows, which keeps the row record
+    layer = init_lstm_layer(4, 3, RngStream(0), "layer1")
+    table = Tensor(np.ones((5, 4)), requires_grad=True)
+    with pytest.raises(UsageError, match="only as a Parameter"):
+        lstm_layer(layer, Lookup(table, np.ones((2, 3), dtype=int)), np.array([3, 2]))
 
 
 # -- the whole model ---------------------------------------------------------------

@@ -3,10 +3,14 @@
 `perfbench/spans.py` wraps module functions and class methods by name
 (`owner.__dict__[name]`); renaming or deleting one of them breaks
 `perfbench/run.py --trace 1`.  These tests install the tracer, run a tiny
-train and predict through the wrappers, and restore the originals."""
+train and predict through the wrappers, and restore the originals.
+`perfbench/workloads.py`, which the untraced run also loads, is imported
+and its configs built, so a name or field it needs cannot go unnoticed."""
 
 import importlib.util
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +20,8 @@ from urgentbayes.autodiff import RngStream
 from urgentbayes.corpus import LabeledExample
 from urgentbayes.encoder import HyperParams
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS_PATH = PERFBENCH / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -77,3 +82,20 @@ def test_traced_run_matches_untraced(spans, kind):
     assert tracer.predict_calls[kind] == 1
     assert tracer.tape_nodes[kind] > 0
     assert tracer.infer_calls[kind] >= 1
+
+
+def test_workloads_import_and_configs(monkeypatch):
+    # workloads.py imports its siblings as top-level modules, as run.py
+    # runs it with perfbench/ on sys.path
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    before = set(sys.modules)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        for name in {"inputs", "spans", "workloads"} - before:
+            sys.modules.pop(name, None)
+    for kind in workloads.KINDS:
+        training.TrainConfig(epochs=1, batch_size=workloads.BATCH, model_kind=kind,
+                             seed=0).validate()
+    workloads.FORUM_HP.validate()
+    workloads._desk_plan(SimpleNamespace(seed=0), 0).validate()
