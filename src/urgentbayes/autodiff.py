@@ -169,60 +169,89 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named trainable tensor; its gradient buffer always exists.
+    """A named trainable tensor, whose gradient is kept in one of two forms.
 
-    `grad_rows` records the rows (indices along the first axis) of `grad`
-    that can be nonzero, as a sorted array without repeats; None means any
-    row can.  `grad_index` indexes those rows, so `zero_grad`, the gradient
-    norm, clipping and the optimizer read only them.  Three writers keep
-    the record: `add_rows`, the one sparse write, adds to distinct rows and
-    records them; `record_rows` records rows a caller has written (the
-    backward of `gather_rows`); `_accumulate` drops the record, since it
-    writes every row.  `zero_grad` zeroes the recorded rows and leaves the
-    record empty.  So the cost of zeroing, measuring and clipping an
-    embedding's gradient follows the ids a batch reads, not the size of the
-    table; the encoder reads ids at valid positions only, so the padding id
-    is recorded only when a post contains it.  A new parameter has no
-    record, so its `grad` may be filled in place before the first
-    `zero_grad`.  Any other write to `grad` after `zero_grad` breaks the
-    record: rows it writes outside the record would be skipped by the
-    gradient norm and the optimizer, and would not be zeroed by the next
-    `zero_grad`."""
+    With a row record, `grad_rows` (a sorted array of distinct indices
+    along the first axis), `grad` is the compact `(len(grad_rows),) +
+    shape[1:]` block: its row i is the gradient of row `grad_rows[i]`, and
+    every other row is zero.  Without one (`grad_rows` None), `grad` is the
+    full array.  A new parameter, like one after `zero_grad`, has an empty
+    record and no rows, so a table whose gradient is never written holds
+    none.  Two writers keep the form: `add_rows`, the sparse write, merges
+    distinct rows into the block in sorted order and adds to the rows
+    already there (the backward of `gather_rows` adds repeated rows through
+    the same merge); `_accumulate`, a dense write, turns a recorded
+    gradient into the full array.  A weight written densely every step
+    reuses one full buffer: `zero_grad` keeps it for the next dense write.
+    The gradient norm, clipping and the optimizer read `grad` directly, so
+    an embedding's gradient costs what the ids a batch reads cost, not the
+    size of the table; the encoder reads ids at valid positions only, so
+    the padding id is recorded only when a post contains it.  `dense_grad`
+    builds the full array from either form."""
 
-    __slots__ = ("name", "grad_rows")
+    __slots__ = ("name", "grad_rows", "_spare")
 
     def __init__(self, data, name):
         super().__init__(data, requires_grad=True)
         self.data = np.ascontiguousarray(self.data)
         self.name = name
-        self.grad = np.zeros(self.data.shape)  # lazily mapped until first written
         self.grad_rows = None
-
-    @property
-    def grad_index(self):
-        """The rows of `grad` that can be nonzero, as an index: the record,
-        or every row when there is none."""
-        return slice(None) if self.grad_rows is None else self.grad_rows
+        self._spare = None
+        self.zero_grad()
 
     def zero_grad(self):
-        self.grad[self.grad_index] = 0.0
+        """Leaves an empty record and no rows; a full gradient's buffer is
+        kept for the next dense write."""
+        if self.grad_rows is None:
+            self._spare = self.grad
+        self.grad = np.empty((0,) + self.data.shape[1:])
         self.grad_rows = np.empty(0, dtype=np.intp)
 
     def add_rows(self, rows, values):
-        """grad[rows] += values for distinct `rows`, which join the record."""
-        self.grad[rows] += values
-        self.record_rows(rows)
+        """grad[rows] += values for distinct `rows`."""
+        at = self._grad_positions(rows)  # may replace the block
+        self.grad[at] += values
 
-    def record_rows(self, rows):
-        """Adds `rows`, indices along the first axis, to the record, kept
-        sorted and without repeats; without a record (any row can be
-        nonzero) there is nothing to add to."""
-        if self.grad_rows is not None:
-            # np.union1d would do, but its first call adds 1.5 MB to the
-            # peak resident set (NumPy 2.4)
-            merged = np.concatenate((self.grad_rows, rows))
-            merged.sort()
-            self.grad_rows = merged[np.diff(merged, prepend=-1) != 0]
+    def dense_grad(self):
+        """The gradient as a new full array."""
+        if self.grad_rows is None:
+            return self.grad.copy()
+        full = np.zeros(self.data.shape)
+        full[self.grad_rows] = self.grad
+        return full
+
+    def _grad_positions(self, rows):
+        """The positions in `grad` of `rows`, indices along the first axis
+        that may repeat.  With a record, the rows it lacks first join it,
+        and the block, as zero rows in sorted order."""
+        if self.grad_rows is None:
+            return rows
+        # np.union1d would do, but its first call adds 1.5 MB to the peak
+        # resident set (NumPy 2.4)
+        merged = np.concatenate((self.grad_rows, rows))
+        merged.sort()
+        merged = merged[np.diff(merged, prepend=-1) != 0]
+        if len(merged) > len(self.grad_rows):
+            block = np.zeros((len(merged),) + self.data.shape[1:])
+            block[np.searchsorted(merged, self.grad_rows)] = self.grad
+            self.grad, self.grad_rows = block, merged
+        return np.searchsorted(self.grad_rows, rows)
+
+    def _add_dense(self, g):
+        """grad += g over every row.  A recorded gradient first becomes the
+        full array, with the bytes of a zero-filled one added to."""
+        if self.grad_rows is None:
+            self.grad += g
+            return
+        full = self._spare if self._spare is not None else np.empty(self.data.shape)
+        self._spare = None
+        if len(self.grad_rows):
+            full[...] = 0.0
+            full[self.grad_rows] = self.grad
+            full += g
+        else:
+            np.add(g, 0.0, out=full)  # 0.0 + g, in one pass
+        self.grad, self.grad_rows = full, None
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -270,11 +299,13 @@ def _unbroadcast(g, shape):
 def _accumulate(t, g):
     if not t.requires_grad:
         return
+    g = _unbroadcast(np.asarray(g, dtype=np.float64), t.data.shape)
+    if isinstance(t, Parameter):
+        t._add_dense(g)
+        return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += _unbroadcast(np.asarray(g, dtype=np.float64), t.data.shape)
-    if isinstance(t, Parameter):
-        t.grad_rows = None  # a dense write: any row can be nonzero
+    t.grad += g
 
 
 def backward(loss):
@@ -484,19 +515,20 @@ def gather_rows(table, ids):
     """Select rows of a (V, d) table by an id array of any shape; the output
     has shape ids.shape + (d,).  Adjoints scatter-add straight into the
     table's gradient buffer, touching only the selected rows, so a row used
-    twice receives twice the gradient; a `Parameter` table records those
-    rows (`Parameter.record_rows`)."""
+    twice receives twice the gradient; a `Parameter` table adds them to its
+    row record, so its gradient stays compact."""
     ids = np.asarray(ids, dtype=np.intp)
     if table.data.ndim != 2:
         raise ShapeError("gather_rows expects a 2-d table")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise DomainError("row id out of range")
     def bwd(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        rows = ids.reshape(-1)
         if isinstance(table, Parameter):
-            table.record_rows(ids.reshape(-1))
+            rows = table._grad_positions(rows)
+        elif table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        np.add.at(table.grad, rows, g.reshape(-1, table.data.shape[1]))
     return _node(table.data[ids], (table,), bwd)
 
 
@@ -563,7 +595,7 @@ def grad_check(f, params, epsilon=1e-5, tolerance=1e-4):
         p.zero_grad()
     loss = f()
     backward(loss)
-    analytic = [p.grad.copy().reshape(-1) for p in params]
+    analytic = [p.dense_grad().reshape(-1) for p in params]
     with no_grad():
         for p, a in zip(params, analytic):
             flat = p.data.reshape(-1)

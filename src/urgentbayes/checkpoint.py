@@ -271,5 +271,6 @@ def restore_model(data: CheckpointData) -> BaseClassifier:
             raise CheckpointError(
                 f"shape mismatch for {name!r}: checkpoint {stored.shape}, model {p.data.shape}"
             )
-        p.data[...] = stored
+        if p is not model.embedding:  # built from the stored block above
+            p.data[...] = stored
     return model

@@ -57,6 +57,10 @@ class TrainConfig:
 # A 2-D parameter is updated row by row while fewer than this share of its
 # rows are live; past it, fancy indexing costs more than the dense update.
 SPARSE_MAX_LIVE_SHARE = 0.5
+# The dense update runs over blocks of rows of at most this many bytes per
+# array, so that its passes over a block stay in cache: the six arrays one
+# block touches fit a 2 MB L2.
+ADAM_BLOCK_BYTES = 256 << 10
 
 
 class AdaptiveMomentState:
@@ -83,16 +87,16 @@ def _live_rows(state: AdaptiveMomentState, i: int, p: Parameter) -> np.ndarray |
     A row whose moments and gradient are all zero is left bitwise unchanged
     by the update (the moments stay 0 and the weight loses +0.0), so the
     rows that never had a nonzero gradient can be skipped exactly.  New
-    nonzero rows are looked for only among the rows `p.grad_rows` records
-    (every row when it records none), so a batch's cost follows the rows it
-    read; a recorded row whose gradient is zero does not become live.  The
-    padding id is recorded only when a post contains it, so its row stays
-    out of the live set when it only pads."""
+    nonzero rows are looked for only among the rows `p.grad` stores (the
+    rows `p.grad_rows` records, or every row), so a batch's cost follows
+    the rows it read; a recorded row whose gradient is zero does not become
+    live.  The padding id is recorded only when a post contains it, so its
+    row stays out of the live set when it only pads."""
     live = state.live[i]
     if live is None:
         return None
-    rows = p.grad_index
-    live[rows] |= p.grad[rows].any(axis=1)
+    stored = slice(None) if p.grad_rows is None else p.grad_rows
+    live[stored] |= p.grad.any(axis=1)
     if np.count_nonzero(live) > SPARSE_MAX_LIVE_SHARE * live.size:
         state.live[i] = None  # live rows never die, so the update stays dense
         return None
@@ -121,6 +125,34 @@ def _moment_update(p, m, v, g, lr, c1, c2):
     p -= a
 
 
+def _dense_update(p, m, v, lr, c1, c2):
+    """`_moment_update` of every row of `p` and its moments `m`, `v`, over
+    blocks of rows of at most ADAM_BLOCK_BYTES per array (at least one
+    row); the update is elementwise, so the result is bitwise that of one
+    call over the whole arrays.  With a row record, each block's gradient
+    is built from the recorded rows that fall in it, and no full gradient
+    is made."""
+    n = len(p.data)
+    step = max(1, ADAM_BLOCK_BYTES * n // p.data.nbytes)  # rows per block
+    recorded = p.grad_rows
+    if recorded is None and n <= step:
+        _moment_update(p.data, m, v, p.grad, lr, c1, c2)
+        return
+    if recorded is not None:
+        bounds = np.searchsorted(recorded, range(0, n + step, step)).tolist()
+        work = np.empty((min(step, n),) + p.data.shape[1:])
+    for k, start in enumerate(range(0, n, step)):
+        end = min(start + step, n)
+        if recorded is None:
+            g = p.grad[start:end]
+        else:
+            lo, hi = bounds[k], bounds[k + 1]
+            g = work[: end - start]
+            g[...] = 0.0
+            g[recorded[lo:hi] - start] = p.grad[lo:hi]
+        _moment_update(p.data[start:end], m[start:end], v[start:end], g, lr, c1, c2)
+
+
 def adaptive_moment_step(
     params: list[Parameter],
     state: AdaptiveMomentState,
@@ -136,19 +168,26 @@ def adaptive_moment_step(
     for i, (p, m, v) in enumerate(zip(params, state.first, state.second)):
         rows = _live_rows(state, i, p)
         if rows is None:
-            _moment_update(p.data, m, v, p.grad, learning_rate, c1, c2)
+            _dense_update(p, m, v, learning_rate, c1, c2)
+            continue
+        if p.grad_rows is None:
+            g = p.grad[rows]
         else:
-            p_rows, m_rows, v_rows = p.data[rows], m[rows], v[rows]
-            _moment_update(p_rows, m_rows, v_rows, p.grad[rows], learning_rate, c1, c2)
-            p.data[rows], m[rows], v[rows] = p_rows, m_rows, v_rows
+            # the recorded rows that are not live hold zeros
+            g = np.zeros((len(rows),) + p.data.shape[1:])
+            keep = state.live[i][p.grad_rows]
+            g[np.searchsorted(rows, p.grad_rows[keep])] = p.grad[keep]
+        p_rows, m_rows, v_rows = p.data[rows], m[rows], v[rows]
+        _moment_update(p_rows, m_rows, v_rows, g, learning_rate, c1, c2)
+        p.data[rows], m[rows], v[rows] = p_rows, m_rows, v_rows
 
 
 def _row_square_sums(p: Parameter) -> list[float]:
-    """The sum of squares of each row of p's gradient that `p.grad_rows`
-    records (every row when it records none); a 1-D gradient is one row.
-    A row's sum does not depend on which other rows are summed."""
-    g = p.grad.reshape(1, -1) if p.grad.ndim < 2 else p.grad.reshape(len(p.grad), -1)
-    g = g[p.grad_index]
+    """The sum of squares of each row `p.grad` stores (the rows
+    `p.grad_rows` records, or every row); a 1-D gradient is one row.  A
+    row's sum does not depend on which other rows are summed."""
+    g = p.grad
+    g = g.reshape(1, -1) if g.ndim < 2 else g.reshape(len(g), math.prod(g.shape[1:]))
     return (g * g).sum(axis=1).tolist()
 
 
@@ -159,14 +198,15 @@ def clip_gradient_norm(params: list[Parameter], max_norm: float | None) -> float
     The squared norm is the correctly rounded sum (`math.fsum`) of every
     parameter's per-row sums of squares.  A zero row adds an exact zero and
     the sum does not depend on its order, so the norm depends only on the
-    gradient values: measuring only the rows each `grad_rows` records, and
-    scaling only those, gives the bits of the whole arrays.
+    gradient values: measuring and scaling only the rows a compact
+    gradient stores gives the bits of the whole arrays.
 
     Returns the pre-clip norm. Raises NonFiniteError, naming the
     parameter, when a gradient holds NaN or Inf (scaling by a non-finite
     norm would turn it into NaN).
     """
-    sums = [s for p in params for s in _row_square_sums(p)]
+    with np.errstate(over="ignore"):  # a finite square may overflow to inf
+        sums = [s for p in params for s in _row_square_sums(p)]
     try:
         norm = math.sqrt(math.fsum(sums))
     except OverflowError:  # finite row sums whose total overflows
@@ -177,7 +217,7 @@ def clip_gradient_norm(params: list[Parameter], max_norm: float | None) -> float
     if max_norm is not None and norm > max_norm:
         scale = max_norm / norm
         for p in params:
-            p.grad[p.grad_index] *= scale
+            p.grad *= scale
     return norm
 
 

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import pytest
 
@@ -81,3 +82,19 @@ def impossible_shape(request):
     """A block shape no array can take: its element count overflows int64,
     or a dimension or the byte size exceeds what numpy can build."""
     return request.param
+
+
+def _traced_peak(fn):
+    """Calls `fn()` with tracemalloc on and returns the peak of the memory
+    it traced meanwhile, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    return _traced_peak

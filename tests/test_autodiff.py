@@ -198,7 +198,7 @@ class TestBackwardContracts:
         loss = (a * 2.0).sum()
         backward(loss)
         np.testing.assert_allclose(a.grad, [2.0, 2.0, 2.0])
-        np.testing.assert_allclose(b.grad, [0.0, 0.0, 0.0])
+        np.testing.assert_allclose(b.dense_grad(), [0.0, 0.0, 0.0])
 
     def test_reuse_sums_gradients(self):
         a = Parameter(np.array([3.0]), "a")
@@ -210,41 +210,56 @@ class TestBackwardContracts:
         table = Parameter(np.arange(6.0).reshape(3, 2), "emb")
         rows = gather_rows(table, np.array([1, 1, 2]))
         backward(rows.sum())
-        np.testing.assert_allclose(table.grad, [[0, 0], [2, 2], [1, 1]])
+        np.testing.assert_allclose(table.dense_grad(), [[0, 0], [2, 2], [1, 1]])
 
     def test_gradient_row_record(self):
-        # no record until zero_grad; gathers add their rows; a dense write drops it
+        # a recorded gradient is the block of its rows, in sorted order
         table = Parameter(np.arange(10.0).reshape(5, 2), "emb")
-        assert table.grad_rows is None
-        table.grad[...] = 1.0
-        table.zero_grad()
-        assert not table.grad.any() and table.grad_rows.tolist() == []
+        assert table.grad.shape == (0, 2) and table.grad_rows.tolist() == []
+        assert table.dense_grad().tolist() == [[0.0, 0.0]] * 5
+        # gathers merge their rows, repeats adding up
         backward(gather_rows(table, np.array([[3, 1], [3, 3]])).sum())
         backward(gather_rows(table, np.array([4, 1])).sum())
         assert table.grad_rows.tolist() == [1, 3, 4]
-        assert not table.grad[[0, 2]].any()
-        table.zero_grad()
-        assert not table.grad.any() and table.grad_rows.tolist() == []
+        assert table.grad.tolist() == [[2.0, 2.0], [3.0, 3.0], [1.0, 1.0]]
+        dense = table.dense_grad()
+        assert not dense[[0, 2]].any()
+        np.testing.assert_array_equal(dense[[1, 3, 4]], table.grad)
+        # a dense write makes the full array, keeping the recorded rows
         backward((table * 2.0).sum())
-        assert table.grad_rows is None
-        backward(gather_rows(table, np.array([0])).sum())
-        assert table.grad_rows is None
-        # without a record, grad_index selects every row
-        assert table.grad[table.grad_index].shape == (5, 2)
+        assert table.grad_rows is None and table.grad.shape == (5, 2)
+        np.testing.assert_array_equal(table.grad, dense + 2.0)
+        full = table.grad
+        backward(gather_rows(table, np.array([0, 0])).sum())
+        assert table.grad_rows is None and table.grad is full
+        assert table.grad[0].tolist() == [4.0, 4.0]
+        # zero_grad empties the record and writes no full array; the next
+        # dense write reuses the last full buffer
         table.zero_grad()
-        assert not table.grad.any() and table.grad_rows.tolist() == []
-        # add_rows adds to distinct rows and merges them into the record
+        assert table.grad.shape == (0, 2) and table.grad_rows.tolist() == []
+        assert not table.dense_grad().any()
+        backward((table * 3.0).sum())
+        assert table.grad is full and table.grad.tolist() == [[3.0, 3.0]] * 5
+        table.zero_grad()
+        # add_rows merges distinct rows in sorted order and adds to rows present
         table.add_rows(np.array([4, 2]), np.array([[1.0, 2.0], [3.0, 4.0]]))
-        table.add_rows(np.array([2]), np.array([[0.5, 0.5]]))
-        assert table.grad_rows.tolist() == [2, 4]
-        assert table.grad_index.tolist() == [2, 4]
-        np.testing.assert_array_equal(table.grad[[2, 4]], [[3.5, 4.5], [1.0, 2.0]])
-        assert not table.grad[[0, 1, 3]].any()
-        # a plain tensor table still accumulates, and keeps no record
+        table.add_rows(np.array([0, 2]), np.array([[0.25, 0.25], [0.5, 0.5]]))
+        assert table.grad_rows.tolist() == [0, 2, 4]
+        assert table.grad.tolist() == [[0.25, 0.25], [3.5, 4.5], [1.0, 2.0]]
+        # a recorded -0.0 is stored as +0.0, as 0.0 + -0.0 is
+        table.add_rows(np.array([1]), np.array([[-0.0, 1.0]]))
+        assert table.grad[1].tobytes() == np.array([0.0, 1.0]).tobytes()
+        # a plain tensor table still accumulates densely, and keeps no record
         plain = Tensor(np.ones((3, 2)), requires_grad=True)
         backward(gather_rows(plain, np.array([2, 2, 0])).sum())
         np.testing.assert_array_equal(plain.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
         assert not hasattr(plain, "grad_rows")
+
+    def test_zero_grad_allocates_nothing(self, traced_peak):
+        table = Parameter(np.ones((2_000, 300)), "emb")
+        backward((table * 2.0).sum())
+        assert traced_peak(table.zero_grad) < 4096
+        assert traced_peak(lambda: Parameter(table.data, "copy")) < table.data.nbytes // 100
 
     def test_non_scalar_loss_rejected(self):
         a = Parameter(np.ones(3), "a")
@@ -257,7 +272,7 @@ class TestBackwardContracts:
         backward((a * 5.0).sum())
         assert a.grad[0] == pytest.approx(10.0)
         a.zero_grad()
-        assert a.grad[0] == 0.0
+        assert a.dense_grad()[0] == 0.0
 
     def test_concat_splits_adjoint(self):
         a = Parameter(np.ones((2, 2)), "a")

@@ -56,7 +56,7 @@ def reset(params):
 
 
 def grads(params):
-    return [p.grad.copy() for p in params]
+    return [p.dense_grad() for p in params]
 
 
 def summed(terms):
@@ -121,7 +121,7 @@ def test_lstm_layer_matches_step_loop(n, steps, d, h):
         np.testing.assert_allclose(fused.data[rows, t], h_t.data[rows], rtol=0, atol=ATOL)
     np.testing.assert_array_equal(fused.data[~valid], 0.0)
     for p, g in zip(params, fused_grads):
-        np.testing.assert_allclose(g, p.grad, rtol=0, atol=ATOL, err_msg=p.name)
+        np.testing.assert_allclose(g, p.dense_grad(), rtol=0, atol=ATOL, err_msg=p.name)
     np.testing.assert_array_equal(fused_grads[0][~valid], 0.0)
 
 
@@ -372,7 +372,7 @@ def test_attend_matches_per_example(mode, seed):
     for i, ctx in enumerate(reference):
         np.testing.assert_allclose(fused.data[i : i + 1], ctx.data, rtol=0, atol=ATOL)
     for p, g in zip(params, fused_grads):
-        np.testing.assert_allclose(g, p.grad, rtol=0, atol=ATOL, err_msg=p.name)
+        np.testing.assert_allclose(g, p.dense_grad(), rtol=0, atol=ATOL, err_msg=p.name)
     # padded positions neither attend nor receive gradient
     padded = np.arange(steps)[None, :] >= lengths[:, None]
     np.testing.assert_array_equal(fused_grads[0][padded], 0.0)
@@ -413,8 +413,8 @@ def test_attend_one_degenerate_ratio_row(caplog):
     for i, c in enumerate(reference):
         np.testing.assert_allclose(ctx.data[i : i + 1], c.data, rtol=0, atol=ATOL)
     backward(summed([(c * weights[i]).sum() for i, c in enumerate(reference)]))
-    np.testing.assert_allclose(fused_grads[0], s.grad, rtol=0, atol=ATOL)
-    np.testing.assert_allclose(fused_grads[1], f.grad, rtol=0, atol=ATOL)
+    np.testing.assert_allclose(fused_grads[0], s.dense_grad(), rtol=0, atol=ATOL)
+    np.testing.assert_allclose(fused_grads[1], f.dense_grad(), rtol=0, atol=ATOL)
     # uniform weights are constant: no gradient reaches the degenerate query
     np.testing.assert_array_equal(fused_grads[1][1], 0.0)
 
@@ -480,7 +480,7 @@ def test_model_matches_per_step_composition(kind, mode, seed):
 
     np.testing.assert_allclose(fused.data, reference.data, rtol=0, atol=ATOL)
     for p, g in zip(params, fused_grads):
-        np.testing.assert_allclose(g, p.grad, rtol=0, atol=ATOL, err_msg=p.name)
+        np.testing.assert_allclose(g, p.dense_grad(), rtol=0, atol=ATOL, err_msg=p.name)
     # prediction runs the same ops untaped
     assert model.infer_logits(ids, lengths, masks).tobytes() == fused.data.tobytes()
 
@@ -491,7 +491,7 @@ def test_embedding_gradient_touches_only_used_rows():
     model = build_model(hp, gen.uniform(-0.5, 0.5, (30, 3)), "base", 3)
     ids = np.array([[2, 5, 5, 0], [7, 2, 0, 0]])
     lengths = np.array([3, 2])
-    model.embedding.grad[...] = 0.0
+    model.embedding.zero_grad()
     backward(cross_entropy_from_logits(model.batch_logits(ids, lengths), np.array([0, 1])))
-    touched = np.flatnonzero(np.abs(model.embedding.grad).sum(axis=1))
+    touched = np.flatnonzero(np.abs(model.embedding.dense_grad()).sum(axis=1))
     assert set(touched) <= {2, 5, 7}

@@ -9,8 +9,6 @@ gradient is byte-identical.  Whole-model predictions and a training step
 are compared the same way, and the no-grad peak memory of the lookup is
 checked against the composition's."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -71,7 +69,7 @@ def gradients(layer, table, x, lengths, weights):
     for p in params:
         p.zero_grad()
     backward((lstm_layer(layer, x, lengths) * weights).sum())
-    return [p.grad.copy() for p in params], table.grad_rows.copy()
+    return [p.dense_grad() for p in params], table.grad_rows.copy()
 
 
 def assert_close(got, want, what):
@@ -218,7 +216,7 @@ def test_training_step_matches_composition(kind, composed):
             p.zero_grad()
         loss, _ = model.batch_loss_parts(ids, lengths, labels, RngStream(7))
         backward(loss)
-        return loss.data.tobytes(), [p.grad.copy() for p in params]
+        return loss.data.tobytes(), [p.dense_grad() for p in params]
 
     loss, got = step()
     composed()
@@ -233,15 +231,13 @@ def test_training_step_matches_composition(kind, composed):
 
 # -- memory ------------------------------------------------------------------------
 
-def no_grad_peak(layer, make_input, lengths):
+def no_grad_peak(traced_peak, layer, make_input, lengths):
     """The traced peak of one no-grad layer call, its input built inside."""
-    tracemalloc.start()
-    try:
+    def call():
         with no_grad():
             lstm_layer(layer, make_input(), lengths)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    return traced_peak(call)
 
 
 @pytest.mark.parametrize(
@@ -249,13 +245,13 @@ def no_grad_peak(layer, make_input, lengths):
     [(1200, 12, 32, 24, 24), (64, 64, 300, 128, 20_000)],
     ids=["desk_test_split", "forum_batch"],
 )
-def test_no_grad_peak_is_no_higher(n, steps, d, h, vocab):
+def test_no_grad_peak_is_no_higher(n, steps, d, h, vocab, traced_peak):
     gen = np.random.default_rng(9)
     layer = init_lstm_layer(d, h, RngStream(9), "layer1")
     table = Parameter(gen.uniform(-0.5, 0.5, (vocab, d)), "embedding")
     # log-normal lengths around a median of 36, as the benchmark's posts
     lengths = np.clip(np.rint(36 * np.exp(gen.normal(size=n))), 1, steps).astype(int)
     ids = padded(zipf_ids(gen, (n, steps), vocab), lengths)
-    lookup = no_grad_peak(layer, lambda: Lookup(table, ids), lengths)
-    composed = no_grad_peak(layer, lambda: gather_rows(table, ids), lengths)
+    lookup = no_grad_peak(traced_peak, layer, lambda: Lookup(table, ids), lengths)
+    composed = no_grad_peak(traced_peak, layer, lambda: gather_rows(table, ids), lengths)
     assert lookup <= composed

@@ -3,7 +3,6 @@
 import json
 import math
 import struct
-import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -76,6 +75,13 @@ def toy_split(n=12, seed=0, max_len=6):
     return out
 
 
+def set_grad(p, values):
+    """Gives `p` the full gradient `values`, broadcast to its shape, with no
+    row record."""
+    p.grad = np.array(np.broadcast_to(values, p.data.shape), dtype=np.float64)
+    p.grad_rows = None
+
+
 class TestTrainConfig:
     def test_defaults_valid(self):
         cfg = TrainConfig()
@@ -116,7 +122,7 @@ class TestAdaptiveMoment:
         state = AdaptiveMomentState([p])
         before = p.data.copy()
         for _ in range(3):
-            p.grad[...] = 0.0
+            set_grad(p, 0.0)
             adaptive_moment_step([p], state, 0.1)
         np.testing.assert_array_equal(p.data, before)
 
@@ -124,7 +130,7 @@ class TestAdaptiveMoment:
         p = Parameter(np.array([1.0, 1.0, 1.0]), "p")
         g = np.array([0.5, -0.25, 3.0])
         state = AdaptiveMomentState([p])
-        p.grad[...] = g
+        set_grad(p, g)
         adaptive_moment_step([p], state, 0.01)
         expected = 1.0 - 0.01 * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(p.data, expected, rtol=1e-12)
@@ -135,7 +141,7 @@ class TestAdaptiveMoment:
         lr = 1e-3
         prev = p.data.copy()
         for _ in range(500):
-            p.grad[...] = 0.7
+            set_grad(p, 0.7)
             prev = p.data.copy()
             adaptive_moment_step([p], state, lr)
         step = abs(float(p.data[0] - prev[0]))
@@ -153,8 +159,8 @@ class TestClip:
     def test_scales_when_over(self):
         a = Parameter(np.zeros(1), "a")
         b = Parameter(np.zeros(1), "b")
-        a.grad[...] = 6.0
-        b.grad[...] = 8.0  # joint norm 10
+        set_grad(a, 6.0)
+        set_grad(b, 8.0)  # joint norm 10
         norm = clip_gradient_norm([a, b], 5.0)
         assert norm == pytest.approx(10.0)
         assert a.grad[0] == pytest.approx(3.0)
@@ -162,7 +168,7 @@ class TestClip:
 
     def test_leaves_small_untouched(self):
         a = Parameter(np.zeros(1), "a")
-        a.grad[...] = 3.0
+        set_grad(a, 3.0)
         norm = clip_gradient_norm([a], 5.0)
         assert norm == pytest.approx(3.0)
         assert a.grad[0] == 3.0
@@ -171,8 +177,8 @@ class TestClip:
         # scaling by an infinite norm would turn inf into inf * 0 = NaN
         a = Parameter(np.zeros(2), "a")
         b = Parameter(np.zeros(1), "b")
-        a.grad[...] = 3.0
-        b.grad[...] = np.inf
+        set_grad(a, 3.0)
+        set_grad(b, np.inf)
         with pytest.raises(NonFiniteError, match="gradient of b"):
             clip_gradient_norm([a, b], 5.0)
         assert a.grad.tolist() == [3.0, 3.0]
@@ -181,7 +187,7 @@ class TestClip:
         rng = np.random.default_rng(5)
         params = [Parameter(np.zeros((3, 4)), "a"), Parameter(np.zeros(5), "b")]
         for p in params:
-            p.grad[...] = 100.0 * rng.normal(size=p.data.shape)
+            set_grad(p, 100.0 * rng.normal(size=p.data.shape))
         before = [p.grad.copy() for p in params]
         norm = clip_gradient_norm(params, None)
         assert norm == math.sqrt(sum(float(np.sum(g * g)) for g in before))
@@ -193,20 +199,23 @@ class TestClip:
         # 9 + 16 + 0 + 144 + 7056 = 85**2; the 1-D gradient is one row
         a = Parameter(np.zeros((3, 2)), "a")
         b = Parameter(np.zeros(1), "b")
-        a.grad[...] = [[3.0, 4.0], [0.0, 0.0], [0.0, 12.0]]
-        b.grad[...] = 84.0
+        set_grad(a, [[3.0, 4.0], [0.0, 0.0], [0.0, 12.0]])
+        set_grad(b, 84.0)
         assert clip_gradient_norm([a, b], None) == 85.0
         # row sums 1e16, 1 and 1: a running sum rounds 1e16 + 1 away
         c = Parameter(np.zeros((3, 1)), "c")
-        c.grad[:, 0] = [1e8, 1.0, 1.0]
+        set_grad(c, [[1e8], [1.0], [1.0]])
         assert clip_gradient_norm([c], None) == math.sqrt(1e16 + 2.0)
 
     def test_finite_rows_whose_squares_overflow_give_an_infinite_norm(self):
-        a = Parameter(np.zeros((2, 1)), "a")
-        a.grad[:, 0] = 1e154  # each row's square is finite, their sum is not
-        assert clip_gradient_norm([a], None) == math.inf
-        clip_gradient_norm([a], 5.0)
-        assert a.grad.tolist() == [[0.0], [0.0]]
+        # 1e154: each row's square is finite, their sum is not; 1e160: the
+        # squares themselves overflow
+        for value in (1e154, 1e160):
+            a = Parameter(np.zeros((2, 1)), "a")
+            set_grad(a, value)
+            assert clip_gradient_norm([a], None) == math.inf
+            clip_gradient_norm([a], 5.0)
+            assert a.grad.tolist() == [[0.0], [0.0]]
 
     def test_norm_of_the_recorded_rows_is_the_norm_of_the_whole(self):
         gen = np.random.default_rng(6)
@@ -214,21 +223,20 @@ class TestClip:
         values = gen.normal(size=(9, 7)) * 10.0 ** gen.uniform(-6, 6, size=(9, 1))
         whole, recorded = Parameter(np.zeros((40, 7)), "t"), Parameter(np.zeros((40, 7)), "t")
         bias = Parameter(np.zeros(3), "b")
-        for p in (whole, recorded, bias):
-            p.zero_grad()
-        whole.grad_rows = None
-        whole.grad[rows] = recorded.grad[rows] = values
-        recorded.grad_rows = rows
-        bias.grad[...] = [1e3, -2.0, 0.5]
-        bias.grad_rows = None
+        full = np.zeros((40, 7))
+        full[rows] = values
+        set_grad(whole, full)
+        recorded.add_rows(rows, values)
+        assert recorded.grad.shape == (9, 7)
+        set_grad(bias, [1e3, -2.0, 0.5])
         norm = clip_gradient_norm([whole, bias], None)
         assert clip_gradient_norm([recorded, bias], None) == norm
         assert norm > 1.0
         bias_grad = bias.grad.copy()
         clip_gradient_norm([whole, bias], 1.0)
-        bias.grad[...] = bias_grad
+        set_grad(bias, bias_grad)
         clip_gradient_norm([recorded, bias], 1.0)
-        assert recorded.grad.tobytes() == whole.grad.tobytes()
+        assert recorded.dense_grad().tobytes() == whole.grad.tobytes()
 
     def test_norm_ignores_row_order(self):
         gen = np.random.default_rng(7)
@@ -236,15 +244,15 @@ class TestClip:
         norms = []
         for order in (np.arange(30), gen.permutation(30), np.arange(30)[::-1]):
             p = Parameter(np.zeros((30, 5)), "p")
-            p.grad[...] = g[order]
+            set_grad(p, g[order])
             norms.append(clip_gradient_norm([p], None))
         assert norms[0] == norms[1] == norms[2]
 
     def test_none_names_a_non_finite_gradient(self):
         a = Parameter(np.zeros(2), "a")
         b = Parameter(np.zeros(1), "b")
-        a.grad[...] = 3.0
-        b.grad[...] = np.nan
+        set_grad(a, 3.0)
+        set_grad(b, np.nan)
         with pytest.raises(NonFiniteError, match="gradient of b"):
             clip_gradient_norm([a, b], None)
 
@@ -432,7 +440,7 @@ class TestRowSparseAdam:
                 p.zero_grad()
             backward(loss)
             norms.append(clip_gradient_norm(params, clip_norm))
-            dense_adam(datas, [p.grad for p in params], first, second, t, lr)
+            dense_adam(datas, [p.dense_grad() for p in params], first, second, t, lr)
             adaptive_moment_step(params, state, lr)
             for p, d, m, v, sm, sv in zip(params, datas, first, second, state.first, state.second):
                 assert p.data.tobytes() == d.tobytes(), (t, p.name)
@@ -470,7 +478,7 @@ class TestRowSparseAdam:
         state = AdaptiveMomentState([p])
         data, m, v = p.data.copy(), np.zeros((50, 4)), np.zeros((50, 4))
         for t in range(1, 5):
-            p.grad[...] = gen.standard_normal((50, 4))
+            set_grad(p, gen.standard_normal((50, 4)))
             dense_adam([data], [p.grad], [m], [v], t, 1e-2)
             adaptive_moment_step([p], state, 1e-2)
             assert state.live[0] is None
@@ -492,7 +500,7 @@ class TestRowSparseAdam:
 
         def dense_step(params, state, lr):
             state.step_count += 1
-            dense_adam([p.data for p in params], [p.grad for p in params],
+            dense_adam([p.data for p in params], [p.dense_grad() for p in params],
                        state.first, state.second, state.step_count, lr)
 
         monkeypatch.setattr(training, "adaptive_moment_step", dense_step)
@@ -535,6 +543,49 @@ class TestRowSparseAdam:
         assert not state.first[0][unused].any() and not state.second[0][unused].any()
 
 
+class TestBlockedDenseAdam:
+    """The dense update runs `_moment_update` over blocks of rows; being
+    elementwise, it must give the bits of one call over the whole arrays."""
+
+    @pytest.mark.parametrize("compact", [True, False], ids=["compact", "dense"])
+    def test_matches_one_update_over_the_whole_array(self, compact):
+        gen = np.random.default_rng(12)
+        width, lr = 7, 1e-2
+        block = training.ADAM_BLOCK_BYTES // (width * 8)
+        n = 2 * block + 3  # not a multiple of the block
+        p = Parameter(gen.standard_normal((n, width)), "p")
+        state = AdaptiveMomentState([p])
+        state.live[0] = None  # the dense path
+        data, m, v = p.data.copy(), np.zeros((n, width)), np.zeros((n, width))
+        for t in range(1, 4):
+            edges = [0, block - 1, block, 2 * block, n - 1]
+            rows = np.unique(np.concatenate((gen.choice(n, block, replace=False), edges)))
+            values = gen.standard_normal((len(rows), width))
+            p.zero_grad()
+            if compact:
+                p.add_rows(rows, values)
+            else:
+                full = np.zeros((n, width))
+                full[rows] = values
+                set_grad(p, full)
+            training._moment_update(data, m, v, p.dense_grad(), lr,
+                                    1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t)
+            adaptive_moment_step([p], state, lr)
+            assert (p.grad_rows is not None) == compact
+            assert p.data.tobytes() == data.tobytes()
+            assert state.first[0].tobytes() == m.tobytes()
+            assert state.second[0].tobytes() == v.tobytes()
+
+    def test_a_compact_gradient_is_never_made_full(self, traced_peak):
+        p = Parameter(np.ones((20_000, 64)), "emb")
+        state = AdaptiveMomentState([p])
+        state.live[0] = None
+        p.add_rows(np.arange(0, 20_000, 7), np.full((2_858, 64), 0.5))
+        peak = traced_peak(lambda: adaptive_moment_step([p], state, 1e-2))
+        assert peak < 0.1 * p.data.nbytes
+        assert (p.data[::7] < 1.0).all() and (p.data[1::7] == 1.0).all()
+
+
 class TestGradientRowRecord:
     """`Parameter.grad_rows` names every row of the embedding gradient that
     can be nonzero, so zeroing, the norm, clipping and Adam's live rows look
@@ -557,8 +608,8 @@ class TestGradientRowRecord:
                 backward(loss)
                 if m is dense:
                     for p in params:
-                        p.grad_rows = None  # every later pass covers every row
-                step.append((m.embedding.grad.copy(), clip_gradient_norm(params, 0.05)))
+                        set_grad(p, p.dense_grad())  # every later pass covers every row
+                step.append((m.embedding.dense_grad(), clip_gradient_norm(params, 0.05)))
                 adaptive_moment_step(params, state, 5e-2)
             (grad, norm), (dense_grad, dense_norm) = step
             recorded = model.embedding.grad_rows
@@ -586,11 +637,11 @@ class TestGradientRowRecord:
         extra = np.zeros_like(emb.data)
         extra[50] = 0.5
         _accumulate(emb, extra)
-        assert emb.grad_rows is None
-        # the norm of fresh copies, which have no record, counts every row
+        assert emb.grad_rows is None and emb.grad.shape == emb.data.shape
+        # the norm of copies given the full gradients counts every row
         copies = [Parameter(p.data, p.name) for p in params]
         for c, p in zip(copies, params):
-            c.grad[...] = p.grad
+            set_grad(c, p.dense_grad())
         norm = clip_gradient_norm(params, 1e-3)
         assert norm == clip_gradient_norm(copies, None)
         assert emb.grad[50].tolist() == (extra[50] * (1e-3 / norm)).tolist()
@@ -606,7 +657,7 @@ class TestGradientRowRecord:
         def poisoned_backward(loss):
             backward(loss)
             rows = model.embedding.grad_rows
-            model.embedding.grad[rows[len(rows) // 2], 1] = np.nan
+            model.embedding.grad[len(rows) // 2, 1] = np.nan
 
         monkeypatch.setattr(training, "backward", poisoned_backward)
         cfg = TrainConfig(epochs=1, batch_size=12, gradient_clip_norm=clip)
@@ -734,7 +785,7 @@ class TestBuildModel:
         for p in model.parameters():
             p.zero_grad()
         backward(loss)
-        dead = [p.name for p in model.parameters() if not np.any(p.grad)]
+        dead = [p.name for p in model.parameters() if not np.any(p.dense_grad())]
         assert dead == []
 
 
@@ -842,36 +893,42 @@ class TestCheckpoint:
         save_checkpoint(str(path), model, tokens)
         assert path.read_bytes() == b"".join(expected)
 
-    def test_oversized_block_is_truncation_without_allocating(self, tmp_path, declare_first_shape):
+    def test_oversized_block_is_truncation_without_allocating(
+        self, tmp_path, declare_first_shape, traced_peak
+    ):
         # 8 TiB declared in a file of a few hundred bytes
         path = tmp_path / "big.ckpt"
         save_checkpoint(str(path), tiny_model(seed=30), ["<pad>", "<unk>"])
         declare_first_shape(str(path), (2**20, 2**20))
-        tracemalloc.start()
-        try:
+
+        def load():
             with pytest.raises(CheckpointError, match="truncated"):
                 load_checkpoint(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
 
-    def test_restore_peak_memory(self, tmp_path):
-        # the loaded blocks, the model's copy of them and its lazily mapped
-        # zero gradient: about 3x the embedding, and no whole-file copies
+        assert traced_peak(load) < 1 << 20
+
+    def test_restore_peak_memory(self, tmp_path, traced_peak):
+        # the loaded blocks and the model's copy of them: about 2x the
+        # embedding, with no gradient and no whole-file copies
         hp = tiny_hp(embed_dim=300)
         emb = RngStream(31).generator().uniform(-0.5, 0.5, (20_000, 300))
         path = str(tmp_path / "wide.ckpt")
         save_checkpoint(path, build_model(hp, emb, "base", 31),
                         ["<pad>", "<unk>"] + [f"t{i}" for i in range(19_998)])
-        tracemalloc.start()
-        try:
-            restored = restore_model(load_checkpoint(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert restored.embedding.data.tobytes() == emb.tobytes()
-        assert peak <= 3.3 * emb.nbytes
+        restored = []
+        peak = traced_peak(lambda: restored.append(restore_model(load_checkpoint(path))))
+        assert restored[0].embedding.data.tobytes() == emb.tobytes()
+        assert peak <= 2.3 * emb.nbytes
+
+    @pytest.mark.parametrize("kind", ["base", "mcd", "vi"])
+    def test_build_peak_memory(self, kind, traced_peak):
+        # the model's copy of the table, and no gradient for it
+        hp = tiny_hp(embed_dim=300)
+        emb = RngStream(32).generator().uniform(-0.5, 0.5, (20_000, 300))
+        models = []
+        peak = traced_peak(lambda: models.append(build_model(hp, emb, kind, 32)))
+        assert models[0].embedding.grad.nbytes == 0
+        assert peak <= 1.1 * emb.nbytes
 
     def test_impossible_block_shape(self, tmp_path, declare_first_shape, impossible_shape):
         # the element count must not wrap: an oversized block reads as
