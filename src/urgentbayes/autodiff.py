@@ -168,6 +168,23 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
+def merge_rows(rows, more):
+    """The sorted distinct union of `rows`, sorted and distinct, and `more`,
+    indices along the first axis in any order that may repeat."""
+    # np.union1d would do, but its first call adds 1.5 MB to the peak
+    # resident set (NumPy 2.4)
+    merged = np.concatenate((rows, more))
+    merged.sort()
+    return merged[np.diff(merged, prepend=-1) != 0]
+
+
+def spread_rows(block, at, n):
+    """A new array of `n` rows, zero but for row `at[j]`, which is `block[j]`."""
+    out = np.zeros((n,) + block.shape[1:])
+    out[at] = block
+    return out
+
+
 class Parameter(Tensor):
     """A named trainable tensor, whose gradient is kept in one of two forms.
 
@@ -216,9 +233,7 @@ class Parameter(Tensor):
         """The gradient as a new full array."""
         if self.grad_rows is None:
             return self.grad.copy()
-        full = np.zeros(self.data.shape)
-        full[self.grad_rows] = self.grad
-        return full
+        return spread_rows(self.grad, self.grad_rows, len(self.data))
 
     def _grad_positions(self, rows):
         """The positions in `grad` of `rows`, indices along the first axis
@@ -226,15 +241,10 @@ class Parameter(Tensor):
         and the block, as zero rows in sorted order."""
         if self.grad_rows is None:
             return rows
-        # np.union1d would do, but its first call adds 1.5 MB to the peak
-        # resident set (NumPy 2.4)
-        merged = np.concatenate((self.grad_rows, rows))
-        merged.sort()
-        merged = merged[np.diff(merged, prepend=-1) != 0]
+        merged = merge_rows(self.grad_rows, rows)
         if len(merged) > len(self.grad_rows):
-            block = np.zeros((len(merged),) + self.data.shape[1:])
-            block[np.searchsorted(merged, self.grad_rows)] = self.grad
-            self.grad, self.grad_rows = block, merged
+            at = np.searchsorted(merged, self.grad_rows)
+            self.grad, self.grad_rows = spread_rows(self.grad, at, len(merged)), merged
         return np.searchsorted(self.grad_rows, rows)
 
     def _add_dense(self, g):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Parameter, RngStream, _check_finite, backward
+from .autodiff import Parameter, RngStream, _check_finite, backward, merge_rows, spread_rows
 from .corpus import LabeledExample
 from .encoder import MODEL_KINDS, BaseClassifier, HyperParams, require_counts
 from .errors import (
@@ -66,19 +66,34 @@ ADAM_BLOCK_BYTES = 256 << 10
 class AdaptiveMomentState:
     """First/second moment accumulators, one pair per parameter.
 
-    The moments start as lazily mapped zeros. For each 2-D parameter,
-    `live` marks the rows that have ever had a nonzero gradient; `None`
-    means every row is updated (1-D parameters, and 2-D ones once most
-    rows are live)."""
+    For a 2-D parameter, `live[i]` is the sorted array of the rows that
+    have ever had a nonzero gradient, and `first[i]`, `second[i]` are
+    compact `(len(live[i]), d)` blocks whose row j belongs to row
+    `live[i][j]`; every other row's moments are zero.  Once more than
+    SPARSE_MAX_LIVE_SHARE of the rows are live, the full moments are
+    allocated once and `live[i]` becomes None for good.  1-D parameters
+    start dense.  `moments` builds the full arrays from either form."""
 
     def __init__(self, params: list[Parameter]):
         self.step_count = 0
-        self.first = [np.zeros(p.data.shape) for p in params]
-        self.second = [np.zeros(p.data.shape) for p in params]
+        self.shapes = [p.data.shape for p in params]
         self.live = [
-            np.zeros(p.data.shape[0], dtype=bool) if p.data.ndim == 2 else None
-            for p in params
+            np.empty(0, dtype=np.intp) if len(shape) == 2 else None
+            for shape in self.shapes
         ]
+        self.first = [
+            np.zeros(shape if live is None else (0,) + shape[1:])
+            for shape, live in zip(self.shapes, self.live)
+        ]
+        self.second = [np.zeros(m.shape) for m in self.first]
+
+    def moments(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The moments of parameter i as new full arrays."""
+        live = self.live[i]
+        if live is None:
+            return self.first[i].copy(), self.second[i].copy()
+        n = self.shapes[i][0]
+        return spread_rows(self.first[i], live, n), spread_rows(self.second[i], live, n)
 
 
 def _live_rows(state: AdaptiveMomentState, i: int, p: Parameter) -> np.ndarray | None:
@@ -91,16 +106,24 @@ def _live_rows(state: AdaptiveMomentState, i: int, p: Parameter) -> np.ndarray |
     rows `p.grad_rows` records, or every row), so a batch's cost follows
     the rows it read; a recorded row whose gradient is zero does not become
     live.  The padding id is recorded only when a post contains it, so its
-    row stays out of the live set when it only pads."""
+    row stays out of the live set when it only pads.  The compact moments
+    grow with zero rows for the new live rows, or become the full arrays."""
     live = state.live[i]
     if live is None:
         return None
-    stored = slice(None) if p.grad_rows is None else p.grad_rows
-    live[stored] |= p.grad.any(axis=1)
-    if np.count_nonzero(live) > SPARSE_MAX_LIVE_SHARE * live.size:
-        state.live[i] = None  # live rows never die, so the update stays dense
-        return None
-    return np.flatnonzero(live)
+    nonzero = p.grad.any(axis=1)
+    merged = merge_rows(
+        live, np.flatnonzero(nonzero) if p.grad_rows is None else p.grad_rows[nonzero]
+    )
+    if len(merged) == len(live):
+        return live
+    # live rows never die, so once dense the update stays dense
+    dense = len(merged) > SPARSE_MAX_LIVE_SHARE * len(p.data)
+    at, n = (live, len(p.data)) if dense else (np.searchsorted(merged, live), len(merged))
+    state.first[i] = spread_rows(state.first[i], at, n)
+    state.second[i] = spread_rows(state.second[i], at, n)
+    state.live[i] = None if dense else merged
+    return state.live[i]
 
 
 def _moment_update(p, m, v, g, lr, c1, c2):
@@ -125,32 +148,44 @@ def _moment_update(p, m, v, g, lr, c1, c2):
     p -= a
 
 
-def _dense_update(p, m, v, lr, c1, c2):
-    """`_moment_update` of every row of `p` and its moments `m`, `v`, over
-    blocks of rows of at most ADAM_BLOCK_BYTES per array (at least one
-    row); the update is elementwise, so the result is bitwise that of one
-    call over the whole arrays.  With a row record, each block's gradient
-    is built from the recorded rows that fall in it, and no full gradient
-    is made."""
-    n = len(p.data)
-    step = max(1, ADAM_BLOCK_BYTES * n // p.data.nbytes)  # rows per block
-    recorded = p.grad_rows
-    if recorded is None and n <= step:
-        _moment_update(p.data, m, v, p.grad, lr, c1, c2)
+def _blocked_update(p, rows, m, v, lr, c1, c2):
+    """`_moment_update` of the rows `rows` of `p` (every row when None),
+    whose moments `m`, `v` hold one row per row updated, over blocks of at
+    most ADAM_BLOCK_BYTES per array (at least one row); the update is
+    elementwise, so the result is bitwise that of one call over the whole
+    arrays.  With a row record, each block's gradient is built from the
+    recorded rows that fall in it, and no full gradient is made."""
+    n = len(m)
+    if not n:
+        return
+    step = max(1, ADAM_BLOCK_BYTES * n // m.nbytes)  # rows per block
+    recorded, values = p.grad_rows, p.grad
+    if recorded is None and rows is None and n <= step:
+        _moment_update(p.data, m, v, values, lr, c1, c2)
         return
     if recorded is not None:
+        if rows is not None:
+            # positions in `m`; the recorded rows that are not live hold zeros
+            at = np.searchsorted(rows, recorded)
+            keep = rows[np.minimum(at, n - 1)] == recorded
+            recorded, values = at[keep], values[keep]
         bounds = np.searchsorted(recorded, range(0, n + step, step)).tolist()
-        work = np.empty((min(step, n),) + p.data.shape[1:])
+        work = np.empty((min(step, n),) + m.shape[1:])
     for k, start in enumerate(range(0, n, step)):
         end = min(start + step, n)
         if recorded is None:
-            g = p.grad[start:end]
+            g = values[start:end] if rows is None else values[rows[start:end]]
         else:
             lo, hi = bounds[k], bounds[k + 1]
             g = work[: end - start]
             g[...] = 0.0
-            g[recorded[lo:hi] - start] = p.grad[lo:hi]
-        _moment_update(p.data[start:end], m[start:end], v[start:end], g, lr, c1, c2)
+            g[recorded[lo:hi] - start] = values[lo:hi]
+        if rows is None:
+            _moment_update(p.data[start:end], m[start:end], v[start:end], g, lr, c1, c2)
+        else:
+            block = p.data[rows[start:end]]
+            _moment_update(block, m[start:end], v[start:end], g, lr, c1, c2)
+            p.data[rows[start:end]] = block
 
 
 def adaptive_moment_step(
@@ -165,21 +200,9 @@ def adaptive_moment_step(
     t = state.step_count
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
-    for i, (p, m, v) in enumerate(zip(params, state.first, state.second)):
+    for i, p in enumerate(params):
         rows = _live_rows(state, i, p)
-        if rows is None:
-            _dense_update(p, m, v, learning_rate, c1, c2)
-            continue
-        if p.grad_rows is None:
-            g = p.grad[rows]
-        else:
-            # the recorded rows that are not live hold zeros
-            g = np.zeros((len(rows),) + p.data.shape[1:])
-            keep = state.live[i][p.grad_rows]
-            g[np.searchsorted(rows, p.grad_rows[keep])] = p.grad[keep]
-        p_rows, m_rows, v_rows = p.data[rows], m[rows], v[rows]
-        _moment_update(p_rows, m_rows, v_rows, g, learning_rate, c1, c2)
-        p.data[rows], m[rows], v[rows] = p_rows, m_rows, v_rows
+        _blocked_update(p, rows, state.first[i], state.second[i], learning_rate, c1, c2)
 
 
 def _row_square_sums(p: Parameter) -> list[float]:

@@ -407,6 +407,17 @@ def dense_adam(datas, grads, first, second, t, lr):
         data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
+# Batches over a 24-row table whose live share passes SPARSE_MAX_LIVE_SHARE
+# at step 3: the posts read 5, then 10, then 15 distinct rows. Row 0 is
+# padding.
+SWITCH_BATCHES = [
+    ([[2, 3, 4, 0, 0, 0], [5, 6, 0, 0, 0, 0]], [3, 2], [1, 0]),
+    ([[7, 8, 9, 2, 0, 0], [10, 11, 3, 0, 0, 0]], [4, 3], [0, 1]),
+    ([[12, 13, 14, 15, 0, 0], [16, 2, 0, 0, 0, 0]], [4, 2], [1, 0]),
+    ([[17, 18, 3, 0, 0, 0], [2, 4, 0, 0, 0, 0]], [3, 2], [0, 1]),
+    ([[5, 6, 7, 0, 0, 0], [19, 20, 21, 22, 0, 0]], [3, 4], [1, 0]),
+]
+
 # Hand-made batches over a 60-row table. Row 30 is first gathered at step 3
 # (so its first bias correction uses the global t = 3) and not at step 4,
 # where only its moments move it. Row 0 is padding.
@@ -423,14 +434,17 @@ class TestRowSparseAdam:
     """The row-sparse step skips only rows whose update is exactly a no-op,
     so it must agree with `dense_adam` bit for bit."""
 
-    def step_both(self, model, batches, clip_norm, lr=5e-2):
+    def step_both(self, model, batches, clip_norm, lr=5e-2, after_backward=None):
         """Run the batches through `adaptive_moment_step` and `dense_adam`
-        side by side, checking parameters and moments after every step."""
+        side by side, checking parameters and moments after every step, and
+        that while the table is compact its live rows are exactly the rows
+        that have had a nonzero gradient, one compact moment row each."""
         params = model.parameters()
         state = AdaptiveMomentState(params)
         datas = [p.data.copy() for p in params]
         first = [np.zeros_like(p.data) for p in params]
         second = [np.zeros_like(p.data) for p in params]
+        ever_nonzero = np.zeros(len(params[0].data), dtype=bool)
         norms, live_rows = [], []
         for t, (ids, lengths, labels) in enumerate(batches, start=1):
             loss, _ = model.batch_loss_parts(
@@ -439,15 +453,25 @@ class TestRowSparseAdam:
             for p in params:
                 p.zero_grad()
             backward(loss)
+            if after_backward is not None:
+                after_backward()
             norms.append(clip_gradient_norm(params, clip_norm))
-            dense_adam(datas, [p.dense_grad() for p in params], first, second, t, lr)
+            grads = [p.dense_grad() for p in params]
+            ever_nonzero |= grads[0].any(axis=1)
+            dense_adam(datas, grads, first, second, t, lr)
             adaptive_moment_step(params, state, lr)
-            for p, d, m, v, sm, sv in zip(params, datas, first, second, state.first, state.second):
+            for i, (p, d, m, v) in enumerate(zip(params, datas, first, second)):
+                sm, sv = state.moments(i)
                 assert p.data.tobytes() == d.tobytes(), (t, p.name)
                 assert sm.tobytes() == m.tobytes(), (t, p.name)
                 assert sv.tobytes() == v.tobytes(), (t, p.name)
             live = state.live[0]
-            live_rows.append(None if live is None else set(np.flatnonzero(live).tolist()))
+            if live is not None:
+                assert live.tolist() == np.flatnonzero(ever_nonzero).tolist(), t
+                assert state.first[0].shape == state.second[0].shape == (
+                    (len(live),) + params[0].data.shape[1:]
+                ), t
+            live_rows.append(None if live is None else set(live.tolist()))
         return state, norms, live_rows
 
     @pytest.mark.parametrize("kind", ["base", "mcd", "vi"])
@@ -460,7 +484,8 @@ class TestRowSparseAdam:
         assert 30 not in live_rows[1] and 30 in live_rows[2]
         assert 0 not in live_rows[-1]  # the pad row never had a gradient
         assert model.embedding.data[0].tobytes() == pad_row.tobytes()
-        assert not state.first[0][0].any() and not state.second[0][0].any()
+        m, v = state.moments(0)
+        assert not m[0].any() and not v[0].any()
         # the table stays on the sparse path, every other 2-D weight went dense
         assert state.live[0] is not None
         assert all(live is None for live in state.live[1:])
@@ -471,6 +496,30 @@ class TestRowSparseAdam:
         batches = [b for b in SPARSE_BATCHES if max(map(max, b[0])) < 13]
         _, _, live_rows = self.step_both(model, batches, clip_norm=0.05)
         assert live_rows == [None] * len(batches)
+
+    @pytest.mark.parametrize("kind", ["base", "mcd", "vi"])
+    def test_switch_to_dense_mid_run(self, kind):
+        model = tiny_model(kind, seed=13, vocab=24)
+        emb = model.embedding
+        assert [live is None for live in AdaptiveMomentState(model.parameters()).live] == [
+            p.data.ndim == 1 for p in model.parameters()
+        ]  # 1-D parameters start dense
+
+        def record_a_zero_row():  # row 23 is recorded with a zero gradient
+            emb.add_rows(np.array([23]), np.zeros((1, emb.data.shape[1])))
+
+        pad_row, zero_row = emb.data[0].copy(), emb.data[23].copy()
+        state, norms, live_rows = self.step_both(
+            model, SWITCH_BATCHES, clip_norm=0.05, after_backward=record_a_zero_row
+        )
+        assert max(norms) > 0.05  # clipping fired
+        # 5 and then 10 of 24 rows live; 15 at step 3 is past half
+        assert live_rows[:2] == [set(range(2, 7)), set(range(2, 12))]
+        assert live_rows[2:] == [None] * (len(SWITCH_BATCHES) - 2)
+        assert emb.data[0].tobytes() == pad_row.tobytes()
+        assert emb.data[23].tobytes() == zero_row.tobytes()
+        m, v = state.moments(0)
+        assert not m[[0, 23]].any() and not v[[0, 23]].any()
 
     def test_all_rows_live(self):
         gen = np.random.default_rng(3)
@@ -483,8 +532,9 @@ class TestRowSparseAdam:
             adaptive_moment_step([p], state, 1e-2)
             assert state.live[0] is None
             assert p.data.tobytes() == data.tobytes()
-            assert state.first[0].tobytes() == m.tobytes()
-            assert state.second[0].tobytes() == v.tobytes()
+            sm, sv = state.moments(0)
+            assert sm.tobytes() == m.tobytes()
+            assert sv.tobytes() == v.tobytes()
 
     @pytest.mark.parametrize("kind", ["base", "mcd", "vi"])
     def test_train_matches_dense_train(self, kind, tmp_path, monkeypatch):
@@ -498,10 +548,15 @@ class TestRowSparseAdam:
         model, reference = tiny_model(kind, seed=10, vocab=60), tiny_model(kind, seed=10, vocab=60)
         result = train(model, examples, cfg)
 
+        full = {}  # each state's full moments
+
         def dense_step(params, state, lr):
+            if state not in full:
+                full[state] = [[np.zeros_like(p.data) for p in params] for _ in range(2)]
+            first, second = full[state]
             state.step_count += 1
             dense_adam([p.data for p in params], [p.dense_grad() for p in params],
-                       state.first, state.second, state.step_count, lr)
+                       first, second, state.step_count, lr)
 
         monkeypatch.setattr(training, "adaptive_moment_step", dense_step)
         assert result.loss_trace == train(reference, examples, cfg).loss_trace
@@ -540,7 +595,43 @@ class TestRowSparseAdam:
         assert (after[used] != before[used]).any(axis=1).all()
         (state,) = states
         assert state.live[0] is not None  # the update stayed row-sparse
-        assert not state.first[0][unused].any() and not state.second[0][unused].any()
+        m, v = state.moments(0)
+        assert not m[unused].any() and not v[unused].any()
+
+
+class TestCompactMoments:
+    """Until a table goes dense, the optimizer keeps moments for its live
+    rows only."""
+
+    def test_a_short_call_allocates_no_full_moments(self, traced_peak):
+        # a forum-sized table, a fresh state and three steps of about 1,300
+        # rows each, drawn like a forum batch's words
+        gen = np.random.default_rng(14)
+        vocab, width = 20_000, 300
+        p = Parameter(np.ones((vocab, width)), "emb")
+        zipf = 1.0 / np.arange(1, vocab + 1)
+        steps = [np.unique(gen.choice(vocab, 3_000, p=zipf / zipf.sum())) for _ in range(3)]
+        values = [np.full((len(rows), width), 0.5) for rows in steps]
+        states = []
+
+        def short_call():
+            state = AdaptiveMomentState([p])
+            for rows, g in zip(steps, values):
+                p.zero_grad()
+                p.add_rows(rows, g)
+                adaptive_moment_step([p], state, 1e-2)
+            states.append(state)
+
+        peak = traced_peak(short_call)
+        # one (V, d) array alone is 1.0; the two compact blocks of about
+        # 3,000 live rows are 0.3
+        assert peak < 0.6 * p.data.nbytes
+        (state,) = states
+        live = np.unique(np.concatenate(steps))
+        assert state.live[0].tolist() == live.tolist()
+        assert state.first[0].shape == state.second[0].shape == (len(live), width)
+        assert (p.data[live] < 1.0).all()
+        assert (np.delete(p.data, live, axis=0) == 1.0).all()
 
 
 class TestBlockedDenseAdam:
@@ -548,14 +639,14 @@ class TestBlockedDenseAdam:
     elementwise, it must give the bits of one call over the whole arrays."""
 
     @pytest.mark.parametrize("compact", [True, False], ids=["compact", "dense"])
-    def test_matches_one_update_over_the_whole_array(self, compact):
+    def test_matches_one_update_over_the_whole_array(self, compact, monkeypatch):
         gen = np.random.default_rng(12)
         width, lr = 7, 1e-2
         block = training.ADAM_BLOCK_BYTES // (width * 8)
         n = 2 * block + 3  # not a multiple of the block
         p = Parameter(gen.standard_normal((n, width)), "p")
         state = AdaptiveMomentState([p])
-        state.live[0] = None  # the dense path
+        monkeypatch.setattr(training, "SPARSE_MAX_LIVE_SHARE", 0.0)  # the dense path
         data, m, v = p.data.copy(), np.zeros((n, width)), np.zeros((n, width))
         for t in range(1, 4):
             edges = [0, block - 1, block, 2 * block, n - 1]
@@ -571,15 +662,23 @@ class TestBlockedDenseAdam:
             training._moment_update(data, m, v, p.dense_grad(), lr,
                                     1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t)
             adaptive_moment_step([p], state, lr)
+            assert state.live[0] is None
             assert (p.grad_rows is not None) == compact
             assert p.data.tobytes() == data.tobytes()
-            assert state.first[0].tobytes() == m.tobytes()
-            assert state.second[0].tobytes() == v.tobytes()
+            sm, sv = state.moments(0)
+            assert sm.tobytes() == m.tobytes()
+            assert sv.tobytes() == v.tobytes()
 
-    def test_a_compact_gradient_is_never_made_full(self, traced_peak):
+    def test_a_compact_gradient_is_never_made_full(self, traced_peak, monkeypatch):
         p = Parameter(np.ones((20_000, 64)), "emb")
         state = AdaptiveMomentState([p])
-        state.live[0] = None
+        # one live row takes the dense path, whose full moments are made
+        # before the traced step
+        monkeypatch.setattr(training, "SPARSE_MAX_LIVE_SHARE", 0.0)
+        p.add_rows(np.array([0]), np.full((1, 64), 0.5))
+        adaptive_moment_step([p], state, 1e-2)
+        assert state.live[0] is None
+        p.zero_grad()
         p.add_rows(np.arange(0, 20_000, 7), np.full((2_858, 64), 0.5))
         peak = traced_peak(lambda: adaptive_moment_step([p], state, 1e-2))
         assert peak < 0.1 * p.data.nbytes
@@ -621,9 +720,10 @@ class TestGradientRowRecord:
         assert max(norms) > 0.05  # clipping fired
         for p, q in zip(model.parameters(), dense.parameters()):
             assert p.data.tobytes() == q.data.tobytes(), p.name
-        for a, b in zip(states[0].first + states[0].second, states[1].first + states[1].second):
-            assert a.tobytes() == b.tobytes()
-        assert not states[0].live[0][0]  # the pad row is never live
+        for i in range(len(states[0].first)):
+            for a, b in zip(states[0].moments(i), states[1].moments(i)):
+                assert a.tobytes() == b.tobytes()
+        assert 0 not in states[0].live[0]  # the pad row is never live
 
     def test_dense_accumulate_drops_the_record(self):
         model = tiny_model(seed=8, vocab=60)
@@ -648,7 +748,7 @@ class TestGradientRowRecord:
         state = AdaptiveMomentState(params)
         before = emb.data[50].copy()
         adaptive_moment_step(params, state, 1e-2)
-        assert state.live[0][50] and (emb.data[50] != before).all()
+        assert 50 in state.live[0] and (emb.data[50] != before).all()
 
     @pytest.mark.parametrize("clip", [5.0, None])
     def test_nan_in_a_recorded_row_is_divergence(self, monkeypatch, clip):
