@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float arrays.
 
 A small tape-based engine: every operation returns a `Tensor` built by
 `_node`, which records the parent tensors and a closure computing the
@@ -8,10 +8,13 @@ array the closure saved.  Calling `backward` on a scalar walks the
 recorded graph in reverse topological order and accumulates gradients
 into every reachable `Parameter`.
 
-All data is 64-bit; NaN/Inf are rejected at op boundaries.  Randomness is
-funnelled through `RngStream`, a splittable stream keyed by (seed, path)
-so that dropout masks and noise draws are reproducible regardless of
-execution order.
+Recorded ops, and so every gradient, are float64.  An op that is not
+recorded computes in the dtype of the arrays it is given, float64 or
+float32 (prediction serves float32 `Constant` copies of the parameters);
+other data becomes float64.  NaN/Inf are rejected at op boundaries.
+Randomness is funnelled through `RngStream`, a splittable stream keyed by
+(seed, path) so that dropout masks and noise draws are reproducible
+regardless of execution order.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .errors import (
 )
 
 _grad_enabled = True
+_F64, _F32 = np.dtype(np.float64), np.dtype(np.float32)
 
 
 @contextmanager
@@ -56,12 +60,15 @@ def _check_finite(data, what):
 
 
 class Tensor:
-    """Dense float64 array plus the bookkeeping for reverse accumulation."""
+    """Dense float array plus the bookkeeping for reverse accumulation: float64,
+    or float32 when given float32 data and no gradient is required."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype is not _F64 and (arr.dtype is not _F32 or requires_grad):
+            arr = arr.astype(np.float64)
         _check_finite(arr, "tensor data")
         self.data = arr
         self.grad = None
@@ -267,6 +274,22 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
+class Constant(Tensor):
+    """A named tensor that never takes a gradient, over an array used as
+    given: no conversion, copy or finiteness scan.  Prediction serves a
+    float32 `Constant` of each parameter (`BaseClassifier.serving_copy`)."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, data, name):
+        self.data = data
+        self.grad = None
+        self.requires_grad = False
+        self._parents = ()
+        self._backward = None
+        self.name = name
+
+
 def is_recording(parents):
     """Whether an op over `parents` is recorded, i.e. a gradient can flow
     back through it.  `_node` decides by it; an op that allocates arrays
@@ -279,8 +302,10 @@ def _node(data, parents, backward=None):
     with it every array the closure saves) are kept only while recording,
     i.e. when a gradient can flow back to some parent."""
     node = Tensor.__new__(Tensor)
-    if not isinstance(data, np.ndarray) or data.dtype != np.float64:
-        data = np.asarray(data, dtype=np.float64)
+    if not isinstance(data, np.ndarray):
+        data = np.asarray(data)
+    if data.dtype is not _F64 and data.dtype is not _F32:
+        data = data.astype(np.float64)
     _check_finite(data, "operation output")
     node.data = data
     node.grad = None
@@ -447,15 +472,16 @@ def _logistic_passes(z, out):
 
 
 def logistic(z, out=None):
-    """Elementwise 1 / (1 + e^-z) of a float64 array, in four in-place
+    """Elementwise 1 / (1 + e^-z) of a float array, in four in-place
     passes (negate, exp, add one, reciprocal) over `out`, which may be `z`
     itself; a new array when omitted.  Where e^-z overflows, z below about
-    -709.78, the result is 0.0, within 5.6e-309 of the exact value, and no
-    warning is raised.  Against a long-double evaluation on a dense grid
-    over [-709, 745] its largest relative error is 1.17 machine epsilons
-    (2.15 ulp), and that of the two-branch form used before 1.42 (2.28)."""
+    -709.78 (-88.72 in float32), the result is 0.0, within 5.6e-309
+    (2.9e-39) of the exact value, and no warning is raised.  Against a
+    long-double evaluation on a dense grid over [-709, 745] its largest
+    relative error in float64 is 1.17 machine epsilons (2.15 ulp), and that
+    of the two-branch form used before 1.42 (2.28)."""
     if out is None:
-        out = np.empty_like(z, dtype=np.float64)
+        out = np.empty_like(z, dtype=_F32 if z.dtype is _F32 else _F64)
     with np.errstate(over="ignore"):
         return _logistic_passes(z, out)
 

@@ -11,15 +11,24 @@ positions are zeros), and attention is a single length-masked op over the
 id (a `Lookup`): it projects each distinct id at a valid position once, no
 `(n, T, embed_dim)` array of gathered rows is built, and its backward adds
 to the embedding's gradient only the rows of the ids it read.  Training
-records these ops on the autodiff tape; prediction runs the same ops
-under `no_grad`, so the zero-dropout Bayesian variant agrees with the
-deterministic model bit for bit by construction.  Prediction can stack
-several dropout samples of one batch: layer 1 then runs once, and layer
-2, attention and the head run over blocks of samples (`infer_states`).
-Only the head (`_build_head`, `_head`) differs by kind; vi's is its
-reconstruction head with the latent code at the prior mean.  Every kind's `predict_batch`
-builds an (M, n, 2) block of sample logits (M = 1 here) and makes one
-`aggregate_logit_samples` call, which returns the n posts' distributions.
+records these ops on the autodiff tape, in float64; `infer_states` runs
+the same ops under `no_grad`, in the dtype of the weights it is given.
+Prediction can stack several dropout samples of one batch: layer 1 then
+runs once, and layer 2, attention and the head run over blocks of samples
+(`infer_states`).  Only the head (`_build_head`, `_head`) differs by kind;
+vi's is its reconstruction head with the latent code at the prior mean.
+
+Every kind's `predict_batch` scores through a `serving_copy`, whose
+weights are float32 copies made on each call (the embedding stays
+float64; layer 1 casts the rows a batch reads), builds an (M, n, 2) block
+of sample logits (M = 1 here) and makes one `aggregate_logit_samples`
+call, which returns the n posts' distributions in float64.  The float64
+forward of the model's own weights (`infer_logits`, `batch_logits`) is the
+oracle the served logits are held to, within 1e-5 max(1, |logit|) (below
+5e-7 measured on trained models).  Bitwise claims hold within one
+precision: the zero-dropout Bayesian variant agrees with the deterministic
+model bit for bit by construction, in float64 as in float32, but a
+float32 logit is not the float64 one.
 
 The single-example `lstm_step`, `attention_scores` and `context_vector`
 are the step-by-step reference the fused ops are tested against.
@@ -35,6 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import (
+    Constant,
     Parameter,
     Tensor,
     _accumulate,
@@ -53,7 +63,15 @@ from .autodiff import (
     tanh_op,
     transpose,
 )
-from .errors import ConfigurationError, DataError, DomainError, ShapeError, UsageError
+from .blas import one_thread
+from .errors import (
+    ConfigurationError,
+    DataError,
+    DomainError,
+    NonFiniteError,
+    ShapeError,
+    UsageError,
+)
 from .metrics import NUM_CLASSES, _entropy
 
 log = logging.getLogger(__name__)
@@ -118,6 +136,25 @@ class LstmLayerParams:
         return [self.input_weights, self.recurrent_weights, self.bias]
 
 
+def _cast(data, dtype, name):
+    """`data` in `dtype`, under the caller's `np.errstate(over="raise")`: a
+    finite value beyond the range of `dtype` would become inf, so it raises
+    NonFiniteError naming `name` instead."""
+    try:
+        return data.astype(dtype, copy=False)
+    except FloatingPointError:
+        limit = np.finfo(dtype).max
+        raise NonFiniteError(
+            f"{name} holds a value beyond the {np.dtype(dtype).name} range ({limit:.1e})"
+        ) from None
+
+
+def served(param):
+    """A float32 `Constant` copy of `param`, made under the caller's
+    `np.errstate(over="raise")` (`_cast`)."""
+    return Constant(_cast(param.data, np.float32, param.name), param.name)
+
+
 def _uniform_init(rng, shape, fan_in):
     bound = 1.0 / math.sqrt(fan_in)
     return rng.generator().uniform(-bound, bound, size=shape)
@@ -171,7 +208,11 @@ def _blocked_input(x, wx, bias, order, active, block, positions):
         for t in range(steps):
             if t % block == 0:
                 k = active[t]
-                projected = x.data[order[:k], t : t + block].reshape(-1, d) @ wx.data
+                rows = x.data[order[:k], t : t + block].reshape(-1, d)
+                if rows.dtype is not wx.data.dtype:
+                    with np.errstate(over="raise"):
+                        rows = _cast(rows, wx.data.dtype, "the layer input")
+                projected = rows @ wx.data
                 projected += bias.data
                 projected = projected.reshape(k, -1, wx.data.shape[1])
             yield projected[: active[t], t % block]
@@ -237,7 +278,12 @@ def _lookup_input(table, ids, wx, bias, active, block, live, positions):
         # the dense projection multiplies two or more rows unless the batch
         # has one position, and a one-row product rounds differently
         picks = np.resize(picks, MIN_ACTIVE_ROWS)
-    projected = table.data[picks] @ wx.data
+    rows = table.data[picks]
+    if rows.dtype is not wx.data.dtype:
+        # only the rows read take the weights' dtype, not the whole table
+        with np.errstate(over="raise"):
+            rows = _cast(rows, wx.data.dtype, getattr(table, "name", "the table"))
+    projected = rows @ wx.data
     projected += bias.data
 
     def projections():
@@ -279,10 +325,12 @@ def lstm_layer(params, x, lengths, out=None):
     gradient and the three weight gradients from those valid positions
     only.
 
-    The valid states are bitwise what the recurrence over every position
-    gives wherever BLAS rounds a row of a product alike whatever other rows
-    the product holds.  OpenBLAS does not for a one-row product (a
-    matrix-vector kernel), so a step keeps at least MIN_ACTIVE_ROWS rows,
+    The layer computes in the dtype of its weights; an input of another
+    dtype is cast, a `Lookup` casting only the rows it reads.  In either
+    precision the valid states are bitwise what the recurrence over every
+    position gives wherever BLAS rounds a row of a product alike whatever
+    other rows the product holds.  OpenBLAS does not for a one-row product
+    (a matrix-vector kernel), so a step keeps at least MIN_ACTIVE_ROWS rows,
     and the states, and with them every prediction, stay byte-identical to
     the dense recurrence over the gathered rows.  The gradients sum the
     valid positions in another order than a dense pass does, and a Lookup
@@ -322,7 +370,8 @@ def lstm_layer(params, x, lengths, out=None):
     active = [max(k, floor) for k in valid]
     # input projections for blocks of timesteps of about 2 MB each, so that
     # a large prediction batch never holds an (n, T, 4*hidden) temporary
-    block = max(1, PROJECTION_BLOCK_BYTES // (n * 4 * hd * 8))
+    dtype = wx.data.dtype
+    block = max(1, PROJECTION_BLOCK_BYTES // (n * 4 * hd * dtype.itemsize))
     keep = is_recording((source, wx, wh, bias))
     if out is not None and keep:
         raise UsageError("lstm_layer writes into `out` only when no gradient is recorded")
@@ -341,17 +390,17 @@ def lstm_layer(params, x, lengths, out=None):
         )
     else:
         projections, input_bwd = _blocked_input(x, wx, bias, order, active, block, positions)
-    states = np.empty((n, steps, hd)) if out is None else out
+    states = np.empty((n, steps, hd), dtype) if out is None else out
     # saved time-major, each step's active rows in `order`'s row order, so
     # a step's block is contiguous
     gates = np.empty((steps, n, 4 * hd)) if keep else None   # activated i, f, g, o
     cells = np.empty((steps, n, hd)) if keep else None
-    work = np.empty((n, 4 * hd))   # each step's pre-activations
-    spare = np.empty((n, hd))   # each step's candidate, then input * candidate
-    h = np.zeros((n, hd))
-    c = np.zeros((n, hd))
-    # a gate whose pre-activation lies below about -709.78 overflows e^-z
-    # and is 0.0
+    work = np.empty((n, 4 * hd), dtype)   # each step's pre-activations
+    spare = np.empty((n, hd), dtype)   # each step's candidate, then input * candidate
+    h = np.zeros((n, hd), dtype)
+    c = np.zeros((n, hd), dtype)
+    # a gate whose pre-activation lies below about -709.78 (-88.72 in
+    # float32) overflows e^-z and is 0.0
     with np.errstate(over="ignore"):
         for t, projected in enumerate(projections):
             k = active[t]
@@ -497,7 +546,7 @@ def attend(states, finals, lengths, mode="softmax"):
         for row in np.flatnonzero(degenerate):
             _warn_degenerate(denom[row, 0])
         denom = np.where(degenerate, 1.0, denom)
-        uniform = valid / valid.sum(axis=1, keepdims=True)
+        uniform = valid / valid.sum(axis=1, keepdims=True, dtype=s.dtype)
         weights = np.where(degenerate, uniform, np.where(valid, scores / denom, 0.0))
 
     def bwd(g):
@@ -610,6 +659,12 @@ class BaseClassifier:
         self.head_bias = Parameter(np.zeros(NUM_CLASSES), "head.bias")
         return [self.head_weight, self.head_bias]
 
+    def _serve_head(self):
+        """On a serving copy, replaces the head's parameters by their
+        `served` copies and returns them, as `_build_head` does."""
+        self.head_weight, self.head_bias = map(served, self._head_params)
+        return [self.head_weight, self.head_bias]
+
     def parameters(self):
         return (
             [self.embedding]
@@ -682,7 +737,9 @@ class BaseClassifier:
 
     def infer_states(self, ids, lengths, masks=None, logits=False):
         """The encoder under `no_grad`: returns (finals, contexts) as
-        (rows, hidden) arrays, or with `logits` the head's (rows, 2) logits.
+        (rows, hidden) arrays, or with `logits` the head's (rows, 2) logits,
+        in the dtype of the model's weights: float64 on a model's own
+        parameters, float32 on its `serving_copy`.  Masks are cast to it.
 
         Masks may stack s samples of a batch of n posts: each one reshapes
         to (s, n, width), sample-major, and the results have s*n rows,
@@ -693,26 +750,30 @@ class BaseClassifier:
         `logits` the head runs on each block before the next one starts, so
         a stacked batch never holds every sample's states.  Each mask
         multiplies the same values as in the graph forward, and in a batch
-        of two or more posts every sample's rows equal the graph forward
-        under that sample's masks bit for bit; a one-post batch can differ
-        in the last bit, as its stacked products take another BLAS kernel."""
+        of two or more posts every sample's rows equal the graph forward of
+        the same weights under that sample's masks bit for bit; a one-post
+        batch can differ in the last bit, as its stacked products take
+        another BLAS kernel."""
         lengths = np.asarray(lengths)
         n = len(lengths)
         with no_grad():
             lower = lstm_layer(self.layer1, self._embed(ids, lengths), lengths).data
             _, steps, h = lower.shape
+            dtype = lower.dtype
             stacked = {} if masks is None else {
-                p: m.reshape(-1, n, 1, m.shape[-1]) for p, m in masks.items()
+                p: m.astype(dtype, copy=False).reshape(-1, n, 1, m.shape[-1])
+                for p, m in masks.items()
             }
             samples = len(stacked[AFTER_LAYER_1]) if stacked else 1
-            c = min(samples, max(1, PROJECTION_BLOCK_BYTES // (n * steps * h * 8)))
+            c = min(samples, max(1, PROJECTION_BLOCK_BYTES // (n * steps * h * dtype.itemsize)))
             # one buffer holds each block's masked layer-2 input, and then
             # its layer-2 states; unmasked, layer 1's states are overwritten
-            block_states = np.empty((c, n, steps, h)) if stacked else lower[None]
+            block_states = np.empty((c, n, steps, h), dtype) if stacked else lower[None]
             if logits:
-                out = np.empty((samples * n, NUM_CLASSES))
+                out = np.empty((samples * n, NUM_CLASSES), dtype)
             else:
-                finals_out, contexts_out = np.empty((samples * n, h)), np.empty((samples * n, h))
+                finals_out = np.empty((samples * n, h), dtype)
+                contexts_out = np.empty((samples * n, h), dtype)
             for k in range(0, samples, c):
                 b = min(c, samples - k)
                 states = block_states[:b]
@@ -749,6 +810,25 @@ class BaseClassifier:
 
     # -- prediction -------------------------------------------------------
 
+    def serving_copy(self):
+        """The model `predict_batch` runs: a shallow copy whose weights are
+        float32 `Constant`s made now from the float64 parameters, all but
+        the embedding, which it shares (layer 1 casts only the rows a batch
+        reads).  Nothing is cached, since training writes the parameters in
+        place; the copy costs one cast of each weight.  Its forward runs in
+        float32 and records nothing, and its outputs are float32 arrays."""
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__)
+        copy.embedding = Constant(self.embedding.data, self.embedding.name)
+        with np.errstate(over="raise"):
+            copy.layer1 = LstmLayerParams(*map(served, self.layer1.parameters()))
+            copy.layer2 = LstmLayerParams(*map(served, self.layer2.parameters()))
+            copy._head_params = copy._serve_head()
+        return copy
+
     def predict_batch(self, ids, lengths, rng=None):
-        """One deterministic pass, aggregated as a block of M = 1 samples."""
-        return aggregate_logit_samples(self.infer_logits(ids, lengths)[None])
+        """One deterministic pass of the serving copy on one BLAS thread
+        (`blas.one_thread`), aggregated as a block of M = 1 samples."""
+        with one_thread():
+            logits = self.serving_copy().infer_logits(ids, lengths)
+        return aggregate_logit_samples(logits[None])

@@ -9,14 +9,17 @@ stochastic passes behaves like one thinned network evaluated on every
 example.  No mask reaches layer 1's input, so prediction runs layer 1
 once and stacks the M samples through layer 2, attention and the head
 (`BaseClassifier.infer_states`) into the (M, n, 2) block of logits that
-`predict_batch` aggregates in one call.  In a batch of two or more posts
-the stacked samples equal M separate passes bit for bit; in a one-post batch
-a single pass's products take a matrix-vector kernel and can differ in
-the last bit.  Results do not depend on execution order, and depend on
-the other posts in a batch only through BLAS rounding in the last bits,
-which can change with a product's row count.  With rate 0 every mask
-branch short-circuits and the model is bit-for-bit the deterministic
-one."""
+`predict_batch` aggregates in one call; it runs them on the float32
+`serving_copy`, whose masks are cast row by row before they are broadcast
+over the posts.  Bitwise claims hold within one precision.  In a batch
+of two or more posts the stacked samples equal M separate passes of the
+same weights bit for bit; in a one-post batch a single pass's products
+take a matrix-vector kernel and can differ in the last bit.  Results do
+not depend on execution order, and depend on the other posts in a batch
+only through BLAS rounding in the last bits, which can change with a
+product's row count.  With rate 0 every mask branch short-circuits and
+the model is bit-for-bit the deterministic one, in float64 as in the
+served float32."""
 
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import one_thread
 from .encoder import (
     AFTER_LAYER_1,
     AFTER_LAYER_2,
@@ -88,12 +92,21 @@ class McdClassifier(BaseClassifier):
         if masks is None:
             # every pass is the deterministic one; no need to run it k times
             return np.tile(self.infer_logits(ids, lengths), (len(indices), 1, 1))
+        # each sample's rows take the weights' dtype before they are
+        # broadcast over the posts, so no (k, n, width) array is built
+        dtype = self.layer2.input_weights.data.dtype
         masks = {
-            p: np.broadcast_to(m[indices, None], (len(indices), n, m.shape[1]))
+            p: np.broadcast_to(
+                m[indices, None].astype(dtype, copy=False), (len(indices), n, m.shape[1])
+            )
             for p, m in masks.items()
         }
         return self.infer_logits(ids, lengths, masks).reshape(len(indices), n, NUM_CLASSES)
 
     def predict_batch(self, ids, lengths, rng=None):
-        samples = self.sample_logits(ids, lengths, rng, range(self.cfg.num_samples))
+        """num_samples passes of the serving copy (`serving_copy`), on one
+        BLAS thread (`blas.one_thread`)."""
+        with one_thread():
+            copy = self.serving_copy()
+            samples = copy.sample_logits(ids, lengths, rng, range(self.cfg.num_samples))
         return aggregate_logit_samples(samples)

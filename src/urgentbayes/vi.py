@@ -4,8 +4,10 @@ Gaussians computed from the encoder's final state.  Training minimizes
 reconstruction cross-entropy (through a reparameterized sample from q)
 plus the closed-form KL between q and p; prediction samples z from the
 prior only, so labels never influence test-time output (`sample_logits`,
-one (M, n, 2) block of logits, sample m keyed by (seed, "eps", m)).  The
-deterministic forward is the shared one; its `_head` pins z at the prior mean."""
+one (M, n, 2) block of logits, sample m keyed by (seed, "eps", m)), which
+`predict_batch` runs on the float32 `serving_copy`; the noise is drawn in
+float64 and cast.  The deterministic forward is the shared one; its
+`_head` pins z at the prior mean."""
 
 from __future__ import annotations
 
@@ -25,7 +27,8 @@ from .autodiff import (
     no_grad,
     tanh_op,
 )
-from .encoder import BaseClassifier, aggregate_logit_samples, require_counts, _uniform_init
+from .blas import one_thread
+from .encoder import BaseClassifier, aggregate_logit_samples, require_counts, served, _uniform_init
 from .errors import ConfigurationError, ShapeError, UsageError
 from .metrics import NUM_CLASSES
 
@@ -137,8 +140,9 @@ def prior_params(finals, heads):
 
 
 def reparameterize(g, eps):
-    """z = mu + sigma * eps; differentiable in mu and log_sigma."""
-    eps = np.asarray(eps, dtype=np.float64)
+    """z = mu + sigma * eps; differentiable in mu and log_sigma.  `eps` is
+    taken in mu's dtype."""
+    eps = np.asarray(eps, dtype=g.mu.data.dtype)
     if eps.shape != g.mu.data.shape:
         raise ShapeError(f"eps shape {eps.shape} does not match mu shape {g.mu.data.shape}")
     return g.mu + exp(g.log_sigma) * eps
@@ -195,6 +199,10 @@ class ViClassifier(BaseClassifier):
         self.heads = init_vi_heads(self.hp.hidden_dim, self.hp.z_dim, init.child("heads"))
         return self.heads.parameters()
 
+    def _serve_head(self):
+        self.heads = ViHeads(*map(served, self._head_params))
+        return self.heads.parameters()
+
     def _head(self, finals, contexts, masks):
         """Deterministic forward: the latent code pinned at the prior mean."""
         return _recon_logits(prior_params(finals, self.heads).mu, finals, contexts, self.heads)
@@ -225,9 +233,11 @@ class ViClassifier(BaseClassifier):
             ])
 
     def predict_batch(self, ids, lengths, rng=None):
-        """m_test latent samples from the conditional prior; labels play no
-        part anywhere in this path."""
+        """m_test latent samples from the conditional prior, on the serving
+        copy and one BLAS thread (`blas.one_thread`); labels play no part
+        anywhere in this path."""
         if rng is None:
             raise UsageError("a random stream is required to sample the latent code")
-        samples = self.sample_logits(ids, lengths, rng, range(self.cfg.m_test))
+        with one_thread():
+            samples = self.serving_copy().sample_logits(ids, lengths, rng, range(self.cfg.m_test))
         return aggregate_logit_samples(samples)

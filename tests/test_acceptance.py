@@ -148,7 +148,8 @@ def test_criterion_3_mcd_degeneracy_and_convergence():
             mcd_cfg=McdConfig(dropout_rate=0.0, num_samples=m),
         )
         dist = mcd0.predict_batch(ids, lengths)[0]
-        want = base.infer_logits(ids, lengths)[0]
+        # both kinds serve in float32; aggregation holds the logits in float64
+        want = base.serving_copy().infer_logits(ids, lengths)[0].astype(np.float64)
         bitwise_ok = bitwise_ok and dist.mean_logits.tobytes() == want.tobytes()
         bitwise_ok = bitwise_ok and all(
             row.tobytes() == want.tobytes() for row in dist.per_sample_logits

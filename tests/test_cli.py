@@ -412,6 +412,27 @@ class TestPredict:
             assert out == ""
             assert err == f"error: {bad}: non-finite values in block 'head.bias'\n"
 
+    @pytest.mark.parametrize("block", ["embedding", "layer2.bias", "head.weight"])
+    def test_weight_beyond_float32_range_is_refused(
+        self, workspace, mcd_checkpoint, tmp_path, capsys, edit_blocks, block
+    ):
+        # a finite float64 weight that float32, the serving precision, cannot hold
+        bad = tmp_path / "huge.ckpt"
+        bad.write_bytes(Path(mcd_checkpoint).read_bytes())
+
+        def enlarge(blocks):
+            dict(blocks)[block][...] = 1e39
+
+        edit_blocks(str(bad), enlarge)
+        for argv in (
+            ["evaluate", "--checkpoint", str(bad), "--test", workspace["dataset"]],
+            ["predict", "--checkpoint", str(bad), "--text", "the quiz"],
+        ):
+            code, out, err = run_cli(capsys, argv)
+            assert code == NonFiniteError.exit_code
+            assert out == ""
+            assert err == f"error: {block} holds a value beyond the float32 range (3.4e+38)\n"
+
     @pytest.mark.parametrize("problem", ["expected <pad>, <unk> first", "duplicate token"])
     def test_bad_vocab_is_data_error(
         self, workspace, mcd_checkpoint, tmp_path, capsys, edit_header, problem

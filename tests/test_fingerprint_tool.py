@@ -56,5 +56,24 @@ def test_tiny_run_and_comparison(fingerprint, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(expected)
     verdicts = dict(line.split(maxsplit=1) for line in lines)
-    assert verdicts.pop("forum/base/weights").startswith("largest relative difference 9.")
+    scaled = weights * (1.0 + 2.0**-40)
+    verdict = verdicts.pop("forum/base/weights")
+    assert verdict.startswith("largest relative difference 9.")
+    assert verdict.endswith(
+        f", absolute {np.abs(scaled - weights).max():.3e}; "
+        f"{np.count_nonzero(scaled != weights)} of {weights.size} numbers differ"
+    )
     assert set(verdicts.values()) == {"identical"}
+
+
+def test_difference_counts_and_scales(fingerprint):
+    # a large relative move on a tiny value shows as a tiny absolute one
+    a = np.array([1.0, 2.0, np.nan, 1.5e-8, np.inf, 0.0, -3.0])
+    b = np.array([1.0, 2.0 + 2.0**-40, np.nan, 1.5e-8 * (1 + 5.7e-5), np.inf, 0.0, -3.0])
+    assert fingerprint.describe_difference(a, b) == (
+        "largest relative difference 5.700e-05, absolute 9.095e-13; 2 of 7 numbers differ"
+    )
+    assert fingerprint.describe_difference(np.array([np.nan, 1.0]), np.array([1.0, 1.0])) == (
+        "largest relative difference inf, absolute inf; 1 of 2 numbers differ"
+    )
+    assert fingerprint.describe_difference(a, b[:3]) == "different shape: 7 numbers against 3"

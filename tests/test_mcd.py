@@ -69,6 +69,23 @@ class TestRateZeroDegeneracy:
             assert bp.mean_probs.tobytes() == mp.mean_probs.tobytes()
             assert bp.predicted_label == mp.predicted_label
 
+    @pytest.mark.parametrize("num_samples", [1, 7])
+    def test_served_bitwise_equal_to_served_base(self, num_samples):
+        base, mcd = make_pair(rate=0.0, num_samples=num_samples)
+        ids, lengths = batch()
+        rng = RngStream(99)
+        want = base.serving_copy().infer_logits(ids, lengths)
+        samples = mcd.serving_copy().sample_logits(ids, lengths, rng, range(num_samples))
+        assert want.dtype == samples.dtype == np.float32
+        assert samples.tobytes() == np.tile(want, (num_samples, 1, 1)).tobytes()
+        want = want.astype(np.float64)
+        for i, (bp, mp) in enumerate(
+            zip(base.predict_batch(ids, lengths), mcd.predict_batch(ids, lengths, rng))
+        ):
+            assert bp.mean_logits.tobytes() == mp.mean_logits.tobytes() == want[i].tobytes()
+            assert bp.mean_probs.tobytes() == mp.mean_probs.tobytes()
+            assert mp.per_sample_logits.tobytes() == np.tile(want[i], (num_samples, 1)).tobytes()
+
     def test_parameters_identical_across_kinds(self):
         base, mcd = make_pair(rate=0.3)
         for pb, pm in zip(base.parameters(), mcd.parameters()):
@@ -125,9 +142,9 @@ class TestPrediction:
         ids, lengths = batch(n=2)
         rng = RngStream(13)
         dists = mcd.predict_batch(ids, lengths, rng)
-        (single,) = mcd.sample_logits(ids, lengths, rng, [0])
+        (single,) = mcd.serving_copy().sample_logits(ids, lengths, rng, [0])
         for i, d in enumerate(dists):
-            np.testing.assert_array_equal(d.mean_logits, single[i])
+            assert d.mean_logits.tobytes() == single[i].astype(np.float64).tobytes()
 
     def test_mean_probs_normalized(self):
         _, mcd = make_pair(rate=0.3, num_samples=20)
@@ -181,11 +198,11 @@ class TestPrediction:
         _, mcd = make_pair(rate=0.3, num_samples=6)
         ids, lengths = np.array([[2, 3, 0, 0, 0, 0]]), np.array([2])
         rng = RngStream(31)
-        logits = mcd.sample_logits(ids, lengths, rng, range(6))
+        logits = mcd.serving_copy().sample_logits(ids, lengths, rng, range(6))
         assert logits.shape == (6, 1, 2)
         (dist,) = mcd.predict_batch(ids, lengths, rng)
         assert dist.per_sample_logits.shape == (6, 2)
-        np.testing.assert_array_equal(dist.per_sample_logits, logits[:, 0])
+        assert dist.per_sample_logits.tobytes() == logits[:, 0].astype(np.float64).tobytes()
 
 
 def per_sample_reference(mcd, ids, lengths, rng, num_samples):
@@ -200,13 +217,14 @@ def per_sample_reference(mcd, ids, lengths, rng, num_samples):
     return np.stack(out)
 
 
-def count_layer_calls(monkeypatch, model):
-    """Counts `lstm_layer` calls per layer of `model`."""
+def count_layer_calls(monkeypatch):
+    """Counts `lstm_layer` calls per layer, told apart by the weights' name,
+    which a serving copy keeps."""
     calls = {"layer1": 0, "layer2": 0}
     real = encoder.lstm_layer
 
     def counting(params, *args, **kwargs):
-        calls["layer1" if params is model.layer1 else "layer2"] += 1
+        calls[params.input_weights.name.split(".")[0]] += 1
         return real(params, *args, **kwargs)
 
     monkeypatch.setattr(encoder, "lstm_layer", counting)
@@ -229,6 +247,26 @@ class TestStackedSamples:
         assert stacked[4].tobytes() == graph.data.tobytes()
 
     @pytest.mark.parametrize("hidden", [4, 24])
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_served_equal_to_per_sample_passes(self, n, hidden):
+        # the same contract within the float32 serving copy
+        _, mcd = make_pair(rate=0.3, num_samples=9, hidden_dim=hidden)
+        served = mcd.serving_copy()
+        ids, lengths = batch(seed=n, n=n)
+        rng = RngStream(41)
+        stacked = served.sample_logits(ids, lengths, rng, range(9))
+        assert stacked.dtype == np.float32
+        reference = per_sample_reference(served, ids, lengths, rng, 9)
+        assert stacked.tobytes() == reference.tobytes()
+        # its weights take no gradient, so its graph forward records nothing
+        graph = served.batch_logits(ids, lengths, {
+            p: np.repeat(m[4:5], n, axis=0).astype(np.float32)
+            for p, m in mcd._placement_masks(9, rng).items()
+        })
+        assert not graph.requires_grad and graph.data.dtype == np.float32
+        assert stacked[4].tobytes() == graph.data.tobytes()
+
+    @pytest.mark.parametrize("hidden", [4, 24])
     def test_one_post_within_rounding(self, hidden):
         # a one-row product takes another BLAS kernel than a stacked one
         _, mcd = make_pair(rate=0.3, num_samples=9, hidden_dim=hidden)
@@ -243,10 +281,11 @@ class TestStackedSamples:
         ids, lengths = batch(seed=5, n=4)
         rng = RngStream(47)
         one_block = mcd.predict_batch(ids, lengths, rng)
-        # three samples per block: blocks of 3, 3 and 1
-        state_bytes = len(lengths) * int(lengths.max()) * mcd.hp.hidden_dim * 8
+        # three samples per block: blocks of 3, 3 and 1, in the served dtype
+        itemsize = mcd.serving_copy().layer2.input_weights.data.itemsize
+        state_bytes = len(lengths) * int(lengths.max()) * mcd.hp.hidden_dim * itemsize
         monkeypatch.setattr(encoder, "PROJECTION_BLOCK_BYTES", 3 * state_bytes)
-        calls = count_layer_calls(monkeypatch, mcd)
+        calls = count_layer_calls(monkeypatch)
         blocked = mcd.predict_batch(ids, lengths, rng)
         assert calls == {"layer1": 1, "layer2": 3}
         for a, b in zip(one_block, blocked):
@@ -293,7 +332,7 @@ class TestStackedSamples:
     def test_layer1_runs_once_per_predict_batch(self, monkeypatch):
         _, mcd = make_pair(rate=0.3, num_samples=50)
         ids, lengths = batch(n=3)
-        calls = count_layer_calls(monkeypatch, mcd)
+        calls = count_layer_calls(monkeypatch)
         mcd.predict_batch(ids, lengths, RngStream(53))
         assert calls == {"layer1": 1, "layer2": 1}
 

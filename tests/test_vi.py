@@ -489,9 +489,12 @@ class TestViPrediction:
     def test_predict_batch_aggregates_sample_logits(self):
         model = tiny_vi(seed=44)
         ids, lengths = np.array([[2, 3, 4, 0, 0, 0], [5, 6, 0, 0, 0, 0]]), np.array([3, 2])
-        block = model.sample_logits(ids, lengths, RngStream(45), range(model.cfg.m_test))
+        # predict_batch scores through the float32 serving copy
+        served = model.serving_copy()
+        block = served.sample_logits(ids, lengths, RngStream(45), range(model.cfg.m_test))
+        assert block.dtype == np.float32
         for i, dist in enumerate(model.predict_batch(ids, lengths, RngStream(45))):
-            assert dist.per_sample_logits.tobytes() == block[:, i].tobytes()
+            assert dist.per_sample_logits.tobytes() == block[:, i].astype(np.float64).tobytes()
 
     def test_prediction_requires_stream(self):
         model = tiny_vi(seed=41)

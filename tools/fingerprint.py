@@ -20,7 +20,8 @@ Usage:
 OUT_DIR receives `fingerprint.json` (artifact -> digest) and
 `fingerprint.npz` (each artifact's numbers as one float64 vector, in a
 fixed order). With `--against`, each artifact is reported as "identical"
-or by the largest relative difference of its numbers from OTHER_DIR's.
+or by the largest relative and absolute differences of its numbers from
+OTHER_DIR's, and how many of them differ.
 `--tiny` shrinks every shape so the whole set runs in seconds; its
 digests are not comparable with full-size ones.  Digests depend on the
 BLAS kernels and the CPU: compare runs made on one machine.
@@ -213,15 +214,24 @@ def forum_artifacts(fp, shape):
         training.AdaptiveMomentState = real_state
 
 
-def largest_relative_difference(a, b):
+def describe_difference(a, b):
+    """The largest relative and absolute differences of two artifacts'
+    numbers, and how many differ: a large relative difference on a tiny
+    value is told apart from one on a large value."""
     if a.shape != b.shape:
         return f"different shape: {a.size} numbers against {b.size}"
-    both_nan = np.isnan(a) & np.isnan(b)
-    diff = np.where(both_nan, 0.0, np.abs(a - b))
-    scale = np.maximum(np.abs(a), np.abs(b))
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(invalid="ignore"):
+        diff = np.where(same, 0.0, np.abs(a - b))
+    diff[np.isnan(diff)] = np.inf   # a NaN against a number
     with np.errstate(invalid="ignore", divide="ignore"):
-        rel = np.where(diff == 0.0, 0.0, diff / scale)
-    return f"largest relative difference {np.nanmax(rel, initial=0.0):.3e}"
+        rel = np.where(np.isinf(diff), np.inf, diff / np.fmax(np.abs(a), np.abs(b)))
+    rel[same] = 0.0
+    return (
+        f"largest relative difference {rel.max(initial=0.0):.3e}, "
+        f"absolute {diff.max(initial=0.0):.3e}; "
+        f"{a.size - np.count_nonzero(same)} of {a.size} numbers differ"
+    )
 
 
 def compare(out_dir, other_dir):
@@ -240,7 +250,7 @@ def compare(out_dir, other_dir):
         elif mine[name] == theirs[name]:
             verdict = "identical"
         else:
-            verdict = largest_relative_difference(my_numbers[name], their_numbers[name])
+            verdict = describe_difference(my_numbers[name], their_numbers[name])
         differ += verdict != "identical"
         print(f"{name:<32} {verdict}")
     return differ
